@@ -138,6 +138,8 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, SpanEndToEnd,
                          testing::Values(core::SystemKind::kShinjuku,
                                          core::SystemKind::kShinjukuOffload,
                                          core::SystemKind::kIdealNic,
+                                         core::SystemKind::kRpcValet,
+                                         core::SystemKind::kRain,
                                          core::SystemKind::kRss),
                          [](const auto& info) {
                            std::string name = core::to_string(info.param);
