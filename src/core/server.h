@@ -109,9 +109,6 @@ struct ServerTelemetry {
   /// Cumulative per-worker busy time; the sampler differences consecutive
   /// snapshots into per-interval busy fractions.
   std::vector<sim::Duration> worker_busy;
-  /// Current per-worker outstanding-K bound (the adaptive-K governor's
-  /// output); empty for systems without a queuing optimization.
-  std::vector<std::uint32_t> worker_capacity;
   /// Per-tenant dispatch-queue backlog (DESIGN §13), slot-aligned with the
   /// configured TenantParams; empty when the tenant layer is off (and for
   /// run-to-completion systems, which have no central per-tenant queues).

@@ -39,8 +39,6 @@ TEST_P(ProtoFuzz, RandomBytesNeverCrashAnyParser) {
     (void)proto::AckMessage::parse(bytes, proto::MessageType::kNoteAck);
     (void)proto::SequencedNote::parse(bytes);
     (void)proto::RejectMessage::parse(bytes);
-    (void)proto::RdmaRunQueueEntry::parse(bytes);
-    (void)proto::RdmaCqEntry::parse(bytes);
     (void)proto::ProbeMessage::parse(bytes, proto::MessageType::kHealthProbe);
     (void)proto::ProbeMessage::parse(bytes,
                                      proto::MessageType::kHealthProbeAck);
@@ -267,85 +265,6 @@ TEST_P(ProtoFuzz, CorruptedSojournFlagBytesAreRejectedNotCrashing) {
     note_bytes[note_flag] = bad;
     EXPECT_FALSE(proto::SequencedNote::parse(note_bytes).has_value())
         << "accepted sojourn flag " << int(bad);
-  }
-}
-
-TEST_P(ProtoFuzz, TruncationsOfRdmaFramesNeverAliasAndRoundTripExactly) {
-  // The RDMA dispatch frames (DESIGN §15) follow the same fixed-size-per-
-  // version discipline as the reliable UDP frames: any truncation of a v1 or
-  // v2 frame is rejected outright — it must never alias the shorter layout
-  // of its own type nor parse as any other message — and the untruncated
-  // frame round-trips field-exactly.
-  proto::RequestDescriptor plain;
-  plain.request_id = 7;
-  plain.remaining_ps = 123;
-  proto::RequestDescriptor extended = plain;
-  extended.deadline_ps = 99'000'000;  // promotes the descriptor body to v2
-
-  for (const auto& descriptor : {plain, extended}) {
-    proto::RdmaRunQueueEntry entry;
-    entry.seq = 11;
-    entry.descriptor = descriptor;
-    const auto entry_bytes = entry.serialize();
-    for (std::size_t len = 0; len < entry_bytes.size(); ++len) {
-      auto truncated = entry_bytes;
-      truncated.resize(len);
-      EXPECT_FALSE(proto::RdmaRunQueueEntry::parse(truncated).has_value())
-          << "accepted a " << len << "-byte truncation";
-      EXPECT_FALSE(proto::RdmaCqEntry::parse(truncated).has_value());
-      EXPECT_FALSE(proto::SequencedAssignment::parse(truncated).has_value());
-    }
-    const auto entry_parsed = proto::RdmaRunQueueEntry::parse(entry_bytes);
-    ASSERT_TRUE(entry_parsed.has_value());
-    EXPECT_EQ(*entry_parsed, entry);
-  }
-
-  proto::RdmaCqEntry cqe;
-  cqe.seq = 12;
-  cqe.worker_id = 2;
-  cqe.cq_kind = proto::RdmaCqKind::kPreempted;
-  cqe.descriptor = plain;
-  for (const bool sojourn : {false, true}) {
-    cqe.has_sojourn = sojourn;
-    cqe.sojourn_ps = sojourn ? 44'000'000 : 0;
-    const auto cqe_bytes = cqe.serialize();
-    for (std::size_t len = 0; len < cqe_bytes.size(); ++len) {
-      auto truncated = cqe_bytes;
-      truncated.resize(len);
-      EXPECT_FALSE(proto::RdmaCqEntry::parse(truncated).has_value())
-          << "accepted a " << len << "-byte truncation";
-      EXPECT_FALSE(proto::RdmaRunQueueEntry::parse(truncated).has_value());
-      EXPECT_FALSE(proto::SequencedNote::parse(truncated).has_value());
-    }
-    const auto cqe_parsed = proto::RdmaCqEntry::parse(cqe_bytes);
-    ASSERT_TRUE(cqe_parsed.has_value());
-    EXPECT_EQ(*cqe_parsed, cqe);
-  }
-}
-
-TEST_P(ProtoFuzz, CorruptedRdmaCqKindAndFlagBytesAreRejectedNotCrashing) {
-  // The CQE kind byte admits exactly {started, completed, preempted} and the
-  // v2 sojourn-presence flag admits exactly {0, 1}; every other value is a
-  // corrupted frame and must fail the parse, whatever the rest holds.
-  proto::RdmaCqEntry cqe;
-  cqe.seq = 9;
-  cqe.worker_id = 1;
-  cqe.has_sojourn = true;
-  cqe.sojourn_ps = 1'000'000;
-  auto bytes = cqe.serialize();
-  const std::size_t kind_at = 4 + 8 + 4;  // header + seq + worker
-  const std::size_t flag_at = kind_at + 1;
-
-  sim::Rng rng(GetParam() + 4000);
-  for (int trial = 0; trial < 200; ++trial) {
-    auto bad_kind = bytes;
-    bad_kind[kind_at] = static_cast<std::uint8_t>(rng.uniform_int(3, 255));
-    EXPECT_FALSE(proto::RdmaCqEntry::parse(bad_kind).has_value())
-        << "accepted cq kind " << int(bad_kind[kind_at]);
-    auto bad_flag = bytes;
-    bad_flag[flag_at] = static_cast<std::uint8_t>(rng.uniform_int(2, 255));
-    EXPECT_FALSE(proto::RdmaCqEntry::parse(bad_flag).has_value())
-        << "accepted sojourn flag " << int(bad_flag[flag_at]);
   }
 }
 
