@@ -92,10 +92,9 @@ class JsonResultSink : public ResultSink {
   std::string title_;
 };
 
-/// Version stamped into the leading `schema` cell of every CSV row. History:
-/// unversioned 39-cell rows (pre-rack), unversioned 52-cell rows (rack-era),
-/// then schema 3 = 53 payload cells (52 legacy + packed per-tenant cell)
-/// behind the version marker. parse_csv_rows reads all three shapes.
+/// Version stamped into the leading `schema` cell of every CSV row: schema 3
+/// carries 53 payload cells, the last one the packed per-tenant breakdown.
+/// parse_csv_rows reads only this version.
 inline constexpr std::uint64_t kCsvSchemaVersion = 3;
 
 /// One header line plus one line per row; metrics and checks are not part of
