@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's one-command CI gate, in three tiers:
+# The repo's one-command CI gate, in ten tiers:
 #
 #   1. tier-1: configure, build, full ctest — the bar every change must hold
 #   2. perf smoke: the sim-core perf harness under NICSCHED_FAST=1 (schema
@@ -11,14 +11,16 @@
 #      tenant_isolation interference checks, same NICSCHED_FAST tier
 #   6. parallel smoke: the sharded-engine determinism tier (serial
 #      bit-identity + shard-count digest invariance), same NICSCHED_FAST tier
-#   7. rdma smoke: the RDMA-assisted dispatch tier (queue-pair + rain-server
-#      unit tests, the dispatch-path ablation and rain_sweep shape checks),
-#      same NICSCHED_FAST tier
+#   7. rdma smoke: the RDMA-assisted dispatch tier (rain acceptance tests,
+#      the dispatch-path ablation and rain_sweep shape checks), same
+#      NICSCHED_FAST tier
 #   8. chaos smoke: the rack-scale fault-tolerance tier (chaos storms +
-#      the rack_failover acceptance demo) under NICSCHED_FAST=1, then the
-#      fault + chaos labels again in a separate ASan+UBSan build
-#      ($BUILD_DIR-asan) — the fault paths tear down mid-flight state, so
-#      they get the sanitizer pass
+#      the rack_failover acceptance demo), same NICSCHED_FAST tier
+#   9. perfbench self-test: every benchmark workload runs briefly, reports
+#      the declared metrics, and reproduces its recorded outcome digests
+#  10. sanitizer pass: the whole suite, every label, in a separate
+#      ASan+UBSan build ($BUILD_DIR-asan) with UBSan fatal, under
+#      NICSCHED_FAST=1
 #
 # Usage: tools/ci.sh [build-dir]    (default: build)
 set -euo pipefail
@@ -52,9 +54,12 @@ echo "==> rdma smoke (NICSCHED_FAST=1, ctest -L rdma)"
 echo "==> chaos smoke (NICSCHED_FAST=1, ctest -L chaos)"
 (cd "$BUILD_DIR" && NICSCHED_FAST=1 ctest -L chaos --output-on-failure)
 
-echo "==> sanitizer pass: fault + chaos labels under ASan+UBSan"
+echo "==> perfbench self-test (outcome digests of every workload)"
+python3 perfbench/selftest.py
+
+echo "==> sanitizer pass: whole suite under ASan+UBSan"
 cmake -B "$BUILD_DIR-asan" -S . -DNICSCHED_SANITIZE=ON
 cmake --build "$BUILD_DIR-asan" -j
-(cd "$BUILD_DIR-asan" && NICSCHED_FAST=1 ctest -L 'fault|chaos' --output-on-failure)
+(cd "$BUILD_DIR-asan" && NICSCHED_FAST=1 ctest -j --output-on-failure)
 
 echo "==> ci.sh: all tiers green"
