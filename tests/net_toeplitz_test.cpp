@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 namespace nicsched::net {
 namespace {
@@ -27,6 +28,13 @@ const MsVector kVectors[] = {
     {"209.142.163.6", 2217, "38.27.205.30", 48228, 0xafc7327f, 0x82989176},
     {"202.188.127.2", 1303, "153.39.163.191", 44251, 0x10e828a2, 0x5d1809c5},
 };
+
+// The printed parameter becomes the ctest name. gtest's default would dump
+// the struct's bytes, string pointers included, which move with every load,
+// so print the source endpoint, which is unique per vector.
+void PrintTo(const MsVector& vector, std::ostream* os) {
+  *os << vector.src_ip << ':' << vector.src_port;
+}
 
 class ToeplitzMsVectors : public ::testing::TestWithParam<MsVector> {};
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 
 #include "workload/arrival.h"
 
@@ -219,11 +220,22 @@ TEST(UniformArrivals, ExactGap) {
   }
 }
 
+struct DistributionCase {
+  const char* label;
+  std::shared_ptr<ServiceDistribution> distribution;
+};
+
+// The printed parameter becomes the ctest name. gtest's default would print
+// the shared_ptr's address, which moves with every load, so print the label.
+void PrintTo(const DistributionCase& param, std::ostream* os) {
+  *os << param.label;
+}
+
 class DistributionMeanProperty
-    : public ::testing::TestWithParam<std::shared_ptr<ServiceDistribution>> {};
+    : public ::testing::TestWithParam<DistributionCase> {};
 
 TEST_P(DistributionMeanProperty, EmpiricalMeanMatchesDeclaredMean) {
-  auto distribution = GetParam();
+  const auto& distribution = GetParam().distribution;
   const double declared = distribution->mean().to_micros();
   const double empirical = empirical_mean_us(*distribution, 300'000, 99);
   EXPECT_NEAR(empirical, declared, declared * 0.05);
@@ -232,15 +244,20 @@ TEST_P(DistributionMeanProperty, EmpiricalMeanMatchesDeclaredMean) {
 INSTANTIATE_TEST_SUITE_P(
     AllDistributions, DistributionMeanProperty,
     ::testing::Values(
-        std::make_shared<FixedDistribution>(sim::Duration::micros(5)),
-        std::make_shared<BimodalDistribution>(sim::Duration::micros(5),
-                                              sim::Duration::micros(100),
-                                              0.005),
-        std::make_shared<ExponentialDistribution>(sim::Duration::micros(25)),
-        std::make_shared<LogNormalDistribution>(sim::Duration::micros(10),
-                                                1.5),
-        std::make_shared<BoundedParetoDistribution>(
-            sim::Duration::micros(1), sim::Duration::micros(500), 1.3)));
+        DistributionCase{"fixed", std::make_shared<FixedDistribution>(
+                                      sim::Duration::micros(5))},
+        DistributionCase{"bimodal", std::make_shared<BimodalDistribution>(
+                                        sim::Duration::micros(5),
+                                        sim::Duration::micros(100), 0.005)},
+        DistributionCase{"exponential",
+                         std::make_shared<ExponentialDistribution>(
+                             sim::Duration::micros(25))},
+        DistributionCase{"lognormal", std::make_shared<LogNormalDistribution>(
+                                          sim::Duration::micros(10), 1.5)},
+        DistributionCase{"bounded_pareto",
+                         std::make_shared<BoundedParetoDistribution>(
+                             sim::Duration::micros(1),
+                             sim::Duration::micros(500), 1.3)}));
 
 }  // namespace
 }  // namespace nicsched::workload
