@@ -1,15 +1,16 @@
 // nicsched_cli — run any experiment the library supports from the command
 // line, without writing C++.
 //
-//   $ ./nicsched_cli --system=shinjuku-offload --workers=4 --k=4 \
+//   $ ./nicsched_cli --system=shinjuku-offload --workers=4 --k=4
 //         --dist=bimodal:5us,100us,0.005 --slice=10us --load=300
-//   $ ./nicsched_cli --system=shinjuku --workers=15 --dist=fixed:1us \
+//   $ ./nicsched_cli --system=shinjuku --workers=15 --dist=fixed:1us
 //         --no-preemption --sweep=250:4250:9
 //   $ ./nicsched_cli --system=ideal-nic --dist=exp:10us --load=500 --csv
 //
-// Loads are in kRPS. Durations accept ns/us/ms suffixes. Sweeps fan out
-// across a thread pool (NICSCHED_THREADS); every run also drops
-// BENCH_nicsched_cli.json / .csv into NICSCHED_RESULT_DIR (or the cwd).
+// Each command is one line, wrapped here. Loads are in kRPS. Durations
+// accept ns/us/ms suffixes. Sweeps fan out across a thread pool
+// (NICSCHED_THREADS); every run also drops BENCH_nicsched_cli.json / .csv
+// into NICSCHED_RESULT_DIR (or the cwd).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -153,15 +153,6 @@ void Cluster::inject_downlink_partition(std::uint32_t host, bool on) {
   }
 }
 
-std::uint32_t ClusterBuilder::shard_for_host(std::size_t index) const {
-  if (group_ == nullptr || group_->shard_count() <= 1) return 0;
-  // Shard 0 keeps the client side (clients, client switch, ToR); hosts
-  // spread over the remaining shards. With shards == hosts + 1 every host
-  // owns a shard.
-  const std::size_t host_shards = group_->shard_count() - 1;
-  return static_cast<std::uint32_t>(1 + index % host_shards);
-}
-
 Cluster ClusterBuilder::build() {
   if (specs_.empty()) {
     throw std::invalid_argument("ClusterBuilder: need >= 1 host");
@@ -170,24 +161,8 @@ Cluster ClusterBuilder::build() {
     throw std::invalid_argument(
         "ClusterBuilder: multi-host topologies need with_rack()");
   }
-  const bool sharded = group_ != nullptr && group_->shard_count() > 1;
-  if (sharded && specs_.size() == 1) {
-    throw std::invalid_argument(
-        "ClusterBuilder: a single-host topology has no wire boundary to "
-        "shard across — build it over one shard");
-  }
-  if (sharded && rack_params_ &&
-      rack_params_->policy == rack::TorPolicy::kJsqIdeal) {
-    // The oracle reads live server telemetry with zero staleness — a
-    // cross-shard read no lookahead can license. The centralized-ideal
-    // baseline is inherently serial.
-    throw std::invalid_argument(
-        "ClusterBuilder: kJsqIdeal's oracle reads live cross-shard state; "
-        "run it on one shard");
-  }
 
   Cluster cluster;
-  cluster.front_sim_ = &sim_;
   cluster.client_network_ =
       std::make_unique<net::EthernetSwitch>(sim_, switch_latency_);
 
@@ -199,7 +174,6 @@ Cluster ClusterBuilder::build() {
     host.spec = std::move(specs_.front());
     host.server =
         make_host_server(host.spec, sim_, *cluster.client_network_);
-    host.sim = &sim_;
     cluster.hosts_.push_back(std::move(host));
     return cluster;
   }
@@ -209,16 +183,11 @@ Cluster ClusterBuilder::build() {
   std::vector<Server*> servers;
   servers.reserve(specs_.size());
   for (auto& spec : specs_) {
-    const std::size_t index_hint = cluster.hosts_.size();
-    const std::uint32_t shard = shard_for_host(index_hint);
-    sim::Simulator& host_sim = sharded ? group_->shard(shard) : sim_;
     Cluster::Host host;
     host.spec = std::move(spec);
     host.network =
-        std::make_unique<net::EthernetSwitch>(host_sim, switch_latency_);
-    host.server = make_host_server(host.spec, host_sim, *host.network);
-    host.sim = &host_sim;
-    host.shard = shard;
+        std::make_unique<net::EthernetSwitch>(sim_, switch_latency_);
+    host.server = make_host_server(host.spec, sim_, *host.network);
     const std::size_t index = cluster.tor_->add_host(
         host.server->ingress_mac(), host.server->ingress_ip(),
         host.network->ingress());
@@ -227,12 +196,6 @@ Cluster ClusterBuilder::build() {
     host.network->set_uplink(cluster.tor_->host_uplink(index),
                              tor_params.host_link_latency,
                              tor_params.host_link_gbps);
-    if (shard != 0) {
-      // The ToR↔host link is the only pair of wires spanning shards; its
-      // 500 ns propagation becomes the group's conservative lookahead.
-      cluster.tor_->downlink_wire(index).set_cross_shard(*group_, 0, shard);
-      host.network->uplink_wire()->set_cross_shard(*group_, shard, 0);
-    }
     if (tor_params.failover) {
       // NIC-management-path probe reflector: parked at the reserved probe
       // MAC on the host fabric, answering from "firmware" — its replies

@@ -39,7 +39,6 @@
 #include "net/ethernet_switch.h"
 #include "overload/overload.h"
 #include "rack/tor_scheduler.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "tenant/tenant.h"
 
@@ -134,9 +133,7 @@ struct HostSpec {
 /// "crash" freezes every worker core of that host's server (the frozen-
 /// incarnation model; the NIC-path probe responder keeps answering, the
 /// cores just stop), and link partitions become total loss on the host's
-/// uplink / the ToR's downlink wire. Each injection point also reports the
-/// simulator shard that owns it, so `ClusterFaultInjector` schedules every
-/// mutation on the right shard.
+/// uplink / the ToR's downlink wire.
 class Cluster : public fault::ClusterFaultSurface {
  public:
   Cluster(Cluster&&) = default;
@@ -156,16 +153,6 @@ class Cluster : public fault::ClusterFaultSurface {
   /// The host's local fabric (== client_network() when there is no rack).
   net::EthernetSwitch& host_network(std::size_t host = 0) {
     return *hosts_.at(host).network;
-  }
-
-  /// The simulator shard this host's components schedule on. Identical to
-  /// the builder's front simulator unless the cluster was built over a
-  /// multi-shard ShardGroup. Anything injected into a host mid-run (fault
-  /// surfaces, probes) must schedule here, not on shard 0.
-  sim::Simulator& host_sim(std::size_t host = 0) { return *hosts_.at(host).sim; }
-  /// Shard index the host was placed on (0 without sharding).
-  std::uint32_t host_shard(std::size_t host = 0) const {
-    return hosts_.at(host).shard;
   }
 
   /// Non-null for multi-host builds.
@@ -192,10 +179,6 @@ class Cluster : public fault::ClusterFaultSurface {
     return static_cast<std::uint32_t>(hosts_.size());
   }
   fault::FaultSurface& host_surface(std::uint32_t host) override;
-  sim::Simulator& host_fault_sim(std::uint32_t host) override {
-    return *hosts_.at(host).sim;
-  }
-  sim::Simulator& rack_fault_sim() override { return *front_sim_; }
   void inject_host_freeze(std::uint32_t host) override;
   void inject_host_thaw(std::uint32_t host) override;
   void inject_uplink_partition(std::uint32_t host, bool on) override;
@@ -207,8 +190,6 @@ class Cluster : public fault::ClusterFaultSurface {
     std::unique_ptr<net::EthernetSwitch> network;  // null when no rack
     std::unique_ptr<Server> server;
     HostSpec spec;
-    sim::Simulator* sim = nullptr;
-    std::uint32_t shard = 0;
     /// Health-probe reflector parked on the host fabric (failover only).
     std::unique_ptr<net::PacketSink> probe_responder;
   };
@@ -217,7 +198,6 @@ class Cluster : public fault::ClusterFaultSurface {
   std::unique_ptr<net::EthernetSwitch> client_network_;
   std::unique_ptr<rack::TorScheduler> tor_;
   std::vector<Host> hosts_;
-  sim::Simulator* front_sim_ = nullptr;
 };
 
 /// Fluent topology builder. Add one host for the classic single-server
@@ -225,14 +205,6 @@ class Cluster : public fault::ClusterFaultSurface {
 class ClusterBuilder {
  public:
   explicit ClusterBuilder(sim::Simulator& sim) : sim_(sim) {}
-
-  /// Shard-aware form (DESIGN §14): clients, the client switch, and the ToR
-  /// build on shard 0; host `i` of an N-host rack builds on shard
-  /// `1 + i % (shards - 1)`, and the ToR↔host wires become cross-shard
-  /// mailbox links whose 500 ns propagation is the group's lookahead. A
-  /// one-shard group is exactly the serial constructor.
-  explicit ClusterBuilder(sim::ShardGroup& group)
-      : sim_(group.front()), group_(&group) {}
 
   /// Switching-decision latency for every switch in the topology (client
   /// side and per-host fabrics).
@@ -263,10 +235,7 @@ class ClusterBuilder {
   Cluster build();
 
  private:
-  std::uint32_t shard_for_host(std::size_t index) const;
-
   sim::Simulator& sim_;
-  sim::ShardGroup* group_ = nullptr;
   sim::Duration switch_latency_ = ModelParams::defaults().switch_forward_latency;
   std::optional<rack::TorParams> rack_params_;
   std::vector<HostSpec> specs_;

@@ -60,8 +60,8 @@ class EnvSpec {
         "NICSCHED_CHAOS", "NICSCHED_CHAOS_SEED",
         // Tenant layer (DESIGN §13).
         "NICSCHED_TENANTS",
-        // RDMA dispatch / feedback staleness (DESIGN §15) and shard pinning.
-        "NICSCHED_FEEDBACK_STALENESS_US", "NICSCHED_SHARD_PIN",
+        // RDMA dispatch / feedback staleness (DESIGN §15).
+        "NICSCHED_FEEDBACK_STALENESS_US",
     };
     return keys;
   }

@@ -1,7 +1,6 @@
 #include "core/testbed.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -11,7 +10,6 @@
 #include "net/ethernet_switch.h"
 #include "obs/capture.h"
 #include "sim/random.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "workload/arrival.h"
 #include "workload/client.h"
@@ -28,25 +26,6 @@ sim::Duration choose_measure_window(const ExperimentConfig& config) {
   const sim::Duration lo = sim::Duration::millis(20);
   const sim::Duration hi = sim::Duration::millis(500);
   return std::clamp(window, lo, hi);
-}
-
-/// The ExperimentConfig::shards contract (DESIGN §14): 0 defers to
-/// NICSCHED_SHARDS (unset = 1). Topologies with no wire boundary to shard
-/// across — no rack — and the kJsqIdeal oracle (live cross-shard reads) run
-/// serial regardless; a rack never needs more than hosts + 1 shards.
-std::size_t resolve_shard_count(const ExperimentConfig& config, bool rack_mode,
-                                std::size_t hosts, rack::TorPolicy policy) {
-  std::size_t shards = config.shards;
-  if (shards == 0) {
-    if (const char* env = std::getenv("NICSCHED_SHARDS");
-        env != nullptr && *env != '\0') {
-      const long parsed = std::atol(env);
-      if (parsed > 0) shards = static_cast<std::size_t>(parsed);
-    }
-  }
-  if (shards <= 1) return 1;
-  if (!rack_mode || policy == rack::TorPolicy::kJsqIdeal) return 1;
-  return std::min(shards, hosts + 1);
 }
 
 std::string default_capture_label(const ExperimentConfig& config) {
@@ -221,16 +200,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
     tor_params = params;
   }
-  const std::size_t shard_count = resolve_shard_count(
-      config, rack_mode, rack_mode ? config.rack->hosts : 1,
-      tor_params ? tor_params->policy : rack::TorPolicy::kRoundRobin);
 
-  // A one-shard group IS the serial engine (ShardGroup delegates run/sync
-  // straight to the single Simulator), so this path is bit-identical to the
-  // pre-shard testbed whenever shard_count == 1.
-  sim::ShardGroup group(shard_count);
-  sim::Simulator& sim = group.front();
-  ClusterBuilder builder(group);
+  sim::Simulator sim;
+  ClusterBuilder builder(sim);
   builder.switch_latency(config.params.switch_forward_latency);
   const HostSpec host_spec = HostSpec::from_config(config);
   if (rack_mode) {
@@ -263,11 +235,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   std::optional<fault::ClusterFaultInjector> cluster_injector;
   if (fault_schedule && !fault_schedule->empty()) {
     if (fault_schedule->host_scoped()) {
-      cluster_injector.emplace(cluster, *fault_schedule, run_end);
+      cluster_injector.emplace(sim, cluster, *fault_schedule, run_end);
     } else if (fault::FaultSurface* surface = cluster.server(0).fault_surface()) {
-      // The injector's events must fire on the shard host 0 lives on (its
-      // timers race the host's own events, not shard 0's).
-      fault_injector.emplace(cluster.host_sim(0), *surface, *fault_schedule);
+      fault_injector.emplace(sim, *surface, *fault_schedule);
     }
   }
 
@@ -289,7 +259,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     chaos->worker_count = static_cast<std::uint32_t>(config.worker_count);
     chaos->start = sim::TimePoint::origin();
     chaos->end = measure_end;
-    chaos_injector.emplace(cluster, fault::make_chaos_schedule(*chaos),
+    chaos_injector.emplace(sim, cluster, fault::make_chaos_schedule(*chaos),
                            run_end);
   }
 
@@ -303,7 +273,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   if (capture_options.enabled) {
     result.capture =
-        std::make_shared<obs::Capture>(group, std::move(capture_options));
+        std::make_shared<obs::Capture>(sim, std::move(capture_options));
     if (obs::MetricSampler* sampler = result.capture->metrics()) {
       if (rack_mode) {
         for (std::size_t host = 0; host < cluster.host_count(); ++host) {
@@ -423,11 +393,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // Snapshot server counters exactly at the end of the measurement window so
   // utilization excludes the drain phase. Rack mode also records per-host
-  // rows and the ToR's dispatch counters at the same instant. As a sync
-  // event this is allowed to read every shard's servers; with one shard it
-  // is literally `sim.at(measure_end, ...)`.
+  // rows and the ToR's dispatch counters at the same instant.
   const sim::Duration elapsed_at_snapshot = config.warmup + measure;
-  group.sync_at(measure_end, [&result, &cluster, elapsed_at_snapshot]() {
+  sim.at(measure_end, [&result, &cluster, elapsed_at_snapshot]() {
     result.server = cluster.stats(elapsed_at_snapshot);
     if (cluster.tor() != nullptr) {
       result.rack_hosts.reserve(cluster.host_count());
@@ -439,8 +407,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     }
   });
 
-  group.run_until(run_end);
-  result.events_fired = group.events_fired();
+  sim.run_until(run_end);
+  result.events_fired = sim.events_fired();
 
   for (std::size_t index = 0; index < clients.size(); ++index) {
     const auto& client = clients[index];
@@ -461,10 +429,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     if (tenant_mode) add(result.tenants[index / machines].clients);
   }
 
-  if (result.capture) {
-    result.capture->finalize();
-    result.capture->export_files();
-  }
+  if (result.capture) result.capture->export_files();
 
   result.summary = result.recorder.summarize(total_rate);
   for (auto& row : result.tenants) {

@@ -190,15 +190,6 @@ struct ExperimentConfig {
   /// the synchronous fold, bit for bit.
   std::optional<sim::Duration> feedback_staleness;
 
-  /// Simulator shards for the parallel engine (DESIGN §14). 0 defers to the
-  /// NICSCHED_SHARDS environment contract (unset = 1); 1 is the serial
-  /// engine, bit for bit. Values > 1 require rack mode (hosts >= 2) — the
-  /// ToR↔host wires are the shard boundary — and are clamped to hosts + 1
-  /// (shard 0 carries clients + ToR, hosts spread over the rest). kJsqIdeal
-  /// racks clamp to 1: the oracle reads live cross-shard state. Digests are
-  /// shard-count-invariant; see sim_shard_determinism_test.
-  std::size_t shards = 0;
-
   ModelParams params = ModelParams::defaults();
 
   // ---- fluent builder ------------------------------------------------------
@@ -382,10 +373,6 @@ struct ExperimentConfig {
   }
   ExperimentConfig& with_tenant_quantum(sim::Duration quantum) {
     tenant_quantum = quantum;
-    return *this;
-  }
-  ExperimentConfig& with_shards(std::size_t count) {
-    shards = count;
     return *this;
   }
   /// Sweepable feedback staleness: delays the adaptive-K sojourn fold by

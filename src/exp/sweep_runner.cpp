@@ -27,12 +27,7 @@ std::size_t resolve_thread_count(std::size_t requested) {
 }  // namespace
 
 SweepRunner::SweepRunner(const Options& options)
-    : threads_(resolve_thread_count(options.threads)),
-      shards_(options.shards) {
-  // Each sharded point runs shards-1 worker threads of its own; shrink the
-  // point pool so the total thread footprint stays at the requested budget.
-  if (shards_ > 1) threads_ = std::max<std::size_t>(1, threads_ / shards_);
-}
+    : threads_(resolve_thread_count(options.threads)) {}
 
 void SweepRunner::dispatch(
     std::size_t count, const std::function<void(std::size_t)>& fn) const {
@@ -81,7 +76,6 @@ std::vector<core::ExperimentResult> SweepRunner::run(
   dispatch(loads.size(), [&](std::size_t index) {
     core::ExperimentConfig config = base;
     config.offered_rps = loads[index];
-    if (shards_ > 0) config.shards = shards_;
     // Per-point export label: the run_experiment default (system+load+seed)
     // already distinguishes sweep points, but an explicit point index keeps
     // exports unique even when two points share a load.
@@ -101,13 +95,7 @@ std::vector<core::ExperimentResult> SweepRunner::run_configs(
     const std::vector<core::ExperimentConfig>& configs) const {
   std::vector<core::ExperimentResult> results(configs.size());
   dispatch(configs.size(), [&](std::size_t index) {
-    if (shards_ > 0) {
-      core::ExperimentConfig config = configs[index];
-      config.shards = shards_;
-      results[index] = core::run_experiment(config);
-    } else {
-      results[index] = core::run_experiment(configs[index]);
-    }
+    results[index] = core::run_experiment(configs[index]);
   });
   return results;
 }

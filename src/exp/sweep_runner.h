@@ -22,21 +22,12 @@ class SweepRunner {
     /// environment variable if set, else std::thread::hardware_concurrency.
     /// 1 runs everything inline on the calling thread (the serial path).
     std::size_t threads = 0;
-    /// Simulator shards per point (DESIGN §14). 0 leaves each config's own
-    /// `shards` field (and the NICSCHED_SHARDS environment contract) in
-    /// charge; > 0 overrides every point. Because each sharded point spawns
-    /// its own worker threads, the point fan-out pool is divided by this so
-    /// points x shards stays at the requested thread budget instead of
-    /// oversubscribing the machine.
-    std::size_t shards = 0;
   };
 
   SweepRunner() : SweepRunner(Options{}) {}
   explicit SweepRunner(const Options& options);
 
   std::size_t thread_count() const { return threads_; }
-  /// The per-point shard override; 0 = defer to each config.
-  std::size_t shard_count() const { return shards_; }
 
   /// Runs `base` once per load (offered_rps overridden per point), parallel
   /// across points, results in load order. `base.response_log` must be null:
@@ -72,7 +63,6 @@ class SweepRunner {
 
  private:
   std::size_t threads_;
-  std::size_t shards_;
 };
 
 }  // namespace nicsched::exp

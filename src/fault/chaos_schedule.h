@@ -3,13 +3,12 @@
 // `make_chaos_schedule` expands a (seed, topology shape) pair into a
 // FaultSchedule that sprays host crashes, link partitions, worker
 // stalls/crashes, and ingress-loss windows across a rack — the substrate the
-// chaos ctest tier (DESIGN §16) runs against every server family × shard
-// count. Two properties are load-bearing:
+// chaos ctest tier (DESIGN §16) runs against every server family. Two
+// properties are load-bearing:
 //
 //   * Determinism: the schedule is a pure function of ChaosOptions. Same
 //     options ⇒ same windows down to the nanosecond, which is what makes
-//     per-seed bit-identical replay and cross-shard-count digest invariance
-//     assertable at all.
+//     per-seed bit-identical replay assertable at all.
 //   * Quiescence: every fault recovers strictly before `end` — crashes get
 //     recover actions, partitions close, stalls are timed — so a chaos run
 //     always drains and the conservation identity can be checked at the end.

@@ -123,7 +123,8 @@ void transition(std::vector<int>& depth, std::uint32_t host, bool on,
 
 }  // namespace
 
-ClusterFaultInjector::ClusterFaultInjector(ClusterFaultSurface& cluster,
+ClusterFaultInjector::ClusterFaultInjector(sim::Simulator& sim,
+                                           ClusterFaultSurface& cluster,
                                            FaultSchedule schedule,
                                            std::optional<sim::TimePoint> horizon)
     : schedule_(std::move(schedule)), state_(std::make_shared<State>()) {
@@ -165,19 +166,19 @@ ClusterFaultInjector::ClusterFaultInjector(ClusterFaultSurface& cluster,
   };
 
   // Host crash = freeze every core + sever both links; recover is the exact
-  // inverse. The freeze and uplink halves run on the host's shard, the
-  // downlink half on the rack shard — each scheduled on its owning sim.
+  // inverse. The host half (freeze + uplink) and the downlink half stay two
+  // events at the same instant, in that order, so event counts and
+  // same-instant tie-breaks match the recorded goldens.
   for (const HostAction& action : schedule_.host_actions()) {
     if (!within_horizon(action.at, horizon, warned_horizon)) continue;
     const std::uint32_t host = resolve_host(action.host);
     const bool on = action.kind == HostActionKind::kCrash;
-    cluster.host_fault_sim(host).at(action.at, [set_freeze, set_uplink, host,
-                                                on]() {
+    sim.at(action.at, [set_freeze, set_uplink, host, on]() {
       set_freeze(host, on);
       set_uplink(host, on);
     });
-    cluster.rack_fault_sim().at(
-        action.at, [set_downlink, host, on]() { set_downlink(host, on); });
+    sim.at(action.at,
+           [set_downlink, host, on]() { set_downlink(host, on); });
   }
 
   for (const PartitionWindow& w : schedule_.partition_windows()) {
@@ -186,76 +187,68 @@ ClusterFaultInjector::ClusterFaultInjector(ClusterFaultSurface& cluster,
     const bool up = w.direction != LinkDirection::kDownlink;
     const bool down = w.direction != LinkDirection::kUplink;
     if (up) {
-      sim::Simulator& host_sim = cluster.host_fault_sim(host);
-      host_sim.at(w.start, [set_uplink, host]() { set_uplink(host, true); });
-      host_sim.at(w.end, [set_uplink, host]() { set_uplink(host, false); });
+      sim.at(w.start, [set_uplink, host]() { set_uplink(host, true); });
+      sim.at(w.end, [set_uplink, host]() { set_uplink(host, false); });
     }
     if (down) {
-      sim::Simulator& rack_sim = cluster.rack_fault_sim();
-      rack_sim.at(w.start,
-                  [set_downlink, host]() { set_downlink(host, true); });
-      rack_sim.at(w.end,
-                  [set_downlink, host]() { set_downlink(host, false); });
+      sim.at(w.start, [set_downlink, host]() { set_downlink(host, true); });
+      sim.at(w.end, [set_downlink, host]() { set_downlink(host, false); });
     }
   }
 
   // The classic per-server fault kinds route to the addressed host's own
-  // surface and shard; the seed salt walks windows in schedule order so the
-  // same schedule drops the same frames regardless of host placement.
+  // surface; the seed salt walks windows in schedule order so the same
+  // schedule drops the same frames regardless of host placement.
   std::uint64_t salt = 0;
   for (const LossWindow& w : schedule_.ingress_loss_windows()) {
     const std::uint64_t seed = mix_seed(schedule_.seed(), salt++);
     if (!within_horizon(w.start, horizon, warned_horizon)) continue;
     const std::uint32_t host = resolve_host(w.host);
     FaultSurface* s = &cluster.host_surface(host);
-    sim::Simulator& host_sim = cluster.host_fault_sim(host);
     const double p = w.probability;
-    host_sim.at(w.start, [s, p, seed]() { s->inject_ingress_loss(p, seed); });
-    host_sim.at(w.end, [s]() { s->inject_ingress_loss(0.0, 0); });
+    sim.at(w.start, [s, p, seed]() { s->inject_ingress_loss(p, seed); });
+    sim.at(w.end, [s]() { s->inject_ingress_loss(0.0, 0); });
   }
   for (const LossWindow& w : schedule_.dispatch_loss_windows()) {
     const std::uint64_t seed = mix_seed(schedule_.seed(), salt++);
     if (!within_horizon(w.start, horizon, warned_horizon)) continue;
     const std::uint32_t host = resolve_host(w.host);
     FaultSurface* s = &cluster.host_surface(host);
-    sim::Simulator& host_sim = cluster.host_fault_sim(host);
     const double p = w.probability;
-    host_sim.at(w.start, [s, p, seed]() { s->inject_dispatch_loss(p, seed); });
-    host_sim.at(w.end, [s]() { s->inject_dispatch_loss(0.0, 0); });
+    sim.at(w.start, [s, p, seed]() { s->inject_dispatch_loss(p, seed); });
+    sim.at(w.end, [s]() { s->inject_dispatch_loss(0.0, 0); });
   }
   for (const DegradeWindow& w : schedule_.degrade_windows()) {
     if (!within_horizon(w.start, horizon, warned_horizon)) continue;
     const std::uint32_t host = resolve_host(w.host);
     FaultSurface* s = &cluster.host_surface(host);
-    sim::Simulator& host_sim = cluster.host_fault_sim(host);
     const double factor = w.factor;
-    host_sim.at(w.start, [s, factor]() { s->inject_ingress_degrade(factor); });
-    host_sim.at(w.end, [s]() { s->inject_ingress_degrade(1.0); });
+    sim.at(w.start, [s, factor]() { s->inject_ingress_degrade(factor); });
+    sim.at(w.end, [s]() { s->inject_ingress_degrade(1.0); });
   }
   for (const WorkerAction& action : schedule_.worker_actions()) {
     if (!within_horizon(action.at, horizon, warned_horizon)) continue;
     const std::uint32_t host = resolve_host(action.host);
     FaultSurface* s = &cluster.host_surface(host);
     check_worker_range(action.worker, s->fault_worker_count(), warned_worker);
-    sim::Simulator& host_sim = cluster.host_fault_sim(host);
     const std::uint32_t worker = action.worker;
     switch (action.kind) {
       case WorkerActionKind::kStall: {
         const sim::Duration duration = action.duration;
-        host_sim.at(action.at, [s, worker, duration]() {
+        sim.at(action.at, [s, worker, duration]() {
           if (s->fault_worker_count() == 0) return;
           s->inject_worker_stall(worker % s->fault_worker_count(), duration);
         });
         break;
       }
       case WorkerActionKind::kCrash:
-        host_sim.at(action.at, [s, worker]() {
+        sim.at(action.at, [s, worker]() {
           if (s->fault_worker_count() == 0) return;
           s->inject_worker_crash(worker % s->fault_worker_count());
         });
         break;
       case WorkerActionKind::kResume:
-        host_sim.at(action.at, [s, worker]() {
+        sim.at(action.at, [s, worker]() {
           if (s->fault_worker_count() == 0) return;
           s->inject_worker_resume(worker % s->fault_worker_count());
         });

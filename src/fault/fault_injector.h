@@ -17,9 +17,7 @@
 // contract) but now warn once per injector.
 //
 // ClusterFaultInjector is the rack-scale variant: it fans a host-scoped
-// schedule out across a ClusterFaultSurface, scheduling each event on the
-// simulator whose shard owns the injection point (host faults on the host's
-// shard, downlink faults on the rack shard). Overlapping windows are
+// schedule out across a ClusterFaultSurface. Overlapping windows are
 // refcounted per host and direction so a short partition ending inside a
 // longer crash cannot un-silence the crashed host. Unlike FaultInjector, the
 // partition refcounts live behind a shared_ptr captured by the events, so
@@ -56,10 +54,10 @@ class FaultInjector {
 class ClusterFaultInjector {
  public:
   /// Schedules every action in `schedule` across `cluster`'s hosts. Host
-  /// indices wrap modulo fault_host_count(). Must be constructed before the
-  /// run starts (events are placed on per-shard simulators while the
-  /// engine is still single-threaded).
-  ClusterFaultInjector(ClusterFaultSurface& cluster, FaultSchedule schedule,
+  /// indices wrap modulo fault_host_count(). The cluster must outlive the
+  /// simulation run.
+  ClusterFaultInjector(sim::Simulator& sim, ClusterFaultSurface& cluster,
+                       FaultSchedule schedule,
                        std::optional<sim::TimePoint> horizon = std::nullopt);
 
   ClusterFaultInjector(const ClusterFaultInjector&) = delete;
@@ -68,10 +66,7 @@ class ClusterFaultInjector {
   const FaultSchedule& schedule() const { return schedule_; }
 
  private:
-  /// Per-host nesting depths. Each counter is only ever touched from the
-  /// shard that owns the matching injection point (freeze/uplink: the
-  /// host's shard; downlink: the rack shard), so no synchronization is
-  /// needed even under the parallel engine.
+  /// Per-host nesting depths, one vector per fault domain.
   struct State {
     std::vector<int> freeze_depth;
     std::vector<int> uplink_depth;

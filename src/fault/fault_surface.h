@@ -15,10 +15,6 @@
 
 #include "sim/time.h"
 
-namespace nicsched::sim {
-class Simulator;
-}  // namespace nicsched::sim
-
 namespace nicsched::fault {
 
 class FaultSurface {
@@ -52,12 +48,7 @@ class FaultSurface {
 
 /// ClusterFaultSurface: the rack-scale counterpart (DESIGN §16). A cluster
 /// exposes one FaultSurface per host plus host-level fault domains: freezing
-/// a whole host's cores and partitioning its rack links. The surface also
-/// hands out the simulator that owns each injection point, because under the
-/// sharded engine a host's cores and uplink live on the host's shard while
-/// its downlink (the ToR→host wire) is driven from the rack shard —
-/// injector events must be scheduled on the simulator whose shard owns the
-/// component they mutate.
+/// a whole host's cores and partitioning its rack links.
 class ClusterFaultSurface {
  public:
   virtual ~ClusterFaultSurface() = default;
@@ -69,23 +60,16 @@ class ClusterFaultSurface {
   /// Per-host server surface for the classic loss/worker fault kinds.
   virtual FaultSurface& host_surface(std::uint32_t host) = 0;
 
-  /// Simulator owning `host`'s shard (cores, local fabric, uplink transmit).
-  virtual sim::Simulator& host_fault_sim(std::uint32_t host) = 0;
-
-  /// Simulator owning the rack shard (ToR, downlink transmits).
-  virtual sim::Simulator& rack_fault_sim() = 0;
-
   /// Freeze / thaw every worker core on `host` (the crash half of the
   /// frozen-incarnation model; link partitions are injected separately).
-  /// Host-shard only.
   virtual void inject_host_freeze(std::uint32_t host) = 0;
   virtual void inject_host_thaw(std::uint32_t host) = 0;
 
-  /// Sever / restore the host→ToR uplink. Host-shard only (loss is decided
-  /// at transmit time on the wire's owning shard).
+  /// Sever / restore the host→ToR uplink (loss is decided at transmit
+  /// time).
   virtual void inject_uplink_partition(std::uint32_t host, bool on) = 0;
 
-  /// Sever / restore the ToR→host downlink. Rack-shard only.
+  /// Sever / restore the ToR→host downlink.
   virtual void inject_downlink_partition(std::uint32_t host, bool on) = 0;
 };
 

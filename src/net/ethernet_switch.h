@@ -50,9 +50,8 @@ class EthernetSwitch : public PacketSink {
   void set_uplink(PacketSink& sink, sim::Duration latency, double gbps);
   bool has_uplink() const { return uplink_ != nullptr; }
 
-  /// The uplink wire, for shard placement: a host fabric living on a host
-  /// shard marks its uplink as crossing back to the ToR's shard. Null when
-  /// no uplink is installed.
+  /// The uplink wire, for link-partition faults. Null when no uplink is
+  /// installed.
   Wire* uplink_wire() { return uplink_.get(); }
 
   /// Fault injection on one egress port (frames *toward* `mac`); see

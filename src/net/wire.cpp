@@ -20,16 +20,6 @@ void Wire::transmit(Packet packet) {
   }
 
   const sim::TimePoint arrival = tx_done + latency_;
-  if (group_ != nullptr) {
-    // Cross-shard: the delivery closure runs on the destination shard after
-    // the next barrier flush; the mailbox itself is the burst batch.
-    group_->post(src_shard_, dst_shard_, arrival,
-                 [this, p = std::move(packet)]() mutable {
-                   destination_.deliver(std::move(p));
-                 });
-    return;
-  }
-
   const std::uint64_t seq = sim_.queue().reserve_seq();
   pending_.push_back(Pending{arrival, seq, std::move(packet)});
   // Serialization keeps arrivals on one wire strictly increasing, so a

@@ -10,14 +10,6 @@
 // sequence number at transmit time and the re-armed event is scheduled with
 // it, so same-instant tie-breaks against other events are bit-identical to
 // the per-frame scheduling this replaces; the determinism goldens pin it.
-//
-// A wire may also span two shards of a `sim::ShardGroup` (`set_cross_shard`):
-// transmit then runs on the source shard and, instead of scheduling a local
-// event, posts the delivery into the group's time-stamped mailbox, which the
-// coordinator flushes into the destination shard's queue at the next sync
-// barrier. The wire's propagation latency is registered as a lookahead bound,
-// which is what guarantees the arrival always lands at or beyond the current
-// sync window.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +19,6 @@
 
 #include "net/packet.h"
 #include "sim/random.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -63,20 +54,6 @@ class Wire {
   /// Queues `packet` for transmission. The packet is delivered to the
   /// destination at serialization-end + latency.
   void transmit(Packet packet);
-
-  /// Marks this wire as crossing from shard `src` to shard `dst` of `group`:
-  /// deliveries go through the group's barrier mailbox instead of the local
-  /// event queue, and the wire's latency is registered as a lookahead bound.
-  /// Must be called during topology construction, before any transmit.
-  void set_cross_shard(sim::ShardGroup& group, std::uint32_t src,
-                       std::uint32_t dst) {
-    group.register_link(latency_);
-    group_ = &group;
-    src_shard_ = src;
-    dst_shard_ = dst;
-  }
-
-  bool cross_shard() const { return group_ != nullptr; }
 
   /// Fault injection: drop each frame independently with `probability`
   /// (CRC corruption / congestion loss on the path). Dropped frames still
@@ -139,11 +116,6 @@ class Wire {
   std::vector<Pending> pending_;
   std::size_t pending_head_ = 0;
   sim::EventHandle delivery_;
-
-  // Cross-shard mailbox routing; null for ordinary same-shard wires.
-  sim::ShardGroup* group_ = nullptr;
-  std::uint32_t src_shard_ = 0;
-  std::uint32_t dst_shard_ = 0;
 };
 
 }  // namespace nicsched::net

@@ -1,6 +1,5 @@
 #include "obs/capture.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,56 +29,9 @@ Capture::Capture(sim::Simulator& sim, CaptureOptions options)
   }
 }
 
-Capture::Capture(sim::ShardGroup& group, CaptureOptions options)
-    : Capture(group.front(), std::move(options)) {
-  if (group.shard_count() > 1) group_ = &group;
-}
-
 void Capture::start(sim::TimePoint sample_until) {
-  if (options_.spans) {
-    if (group_ != nullptr) {
-      // Span emission stays wait-free during the run: each shard's worker
-      // appends to its own buffer and never touches the shared recorder.
-      shard_events_.resize(group_->shard_count());
-      for (std::size_t s = 0; s < group_->shard_count(); ++s) {
-        std::vector<sim::SpanEvent>* buffer = &shard_events_[s];
-        group_->shard(s).tracer().set_span_sink(
-            [buffer](const sim::SpanEvent& event) {
-              buffer->push_back(event);
-            });
-      }
-    } else {
-      sim_.tracer().set_span_sink(spans_.sink());
-    }
-  }
-  if (metrics_) {
-    if (group_ != nullptr) {
-      metrics_->start_synced(*group_, sample_until);
-    } else {
-      metrics_->start(sample_until);
-    }
-  }
-}
-
-void Capture::finalize() {
-  if (group_ == nullptr || shard_events_.empty()) return;
-  std::size_t total = 0;
-  for (const auto& buffer : shard_events_) total += buffer.size();
-  std::vector<const sim::SpanEvent*> merged;
-  merged.reserve(total);
-  for (const auto& buffer : shard_events_) {
-    for (const sim::SpanEvent& event : buffer) merged.push_back(&event);
-  }
-  // Concatenate in shard order, stable-sort by time: same-shard same-instant
-  // events keep emission order, and a request's cross-shard events are
-  // separated by at least one positive wire latency, so per-lifecycle order
-  // is exact. The recorder's violation counters would flag any miss.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const sim::SpanEvent* a, const sim::SpanEvent* b) {
-                     return a->when < b->when;
-                   });
-  for (const sim::SpanEvent* event : merged) spans_.on_event(*event);
-  shard_events_.clear();
+  if (options_.spans) sim_.tracer().set_span_sink(spans_.sink());
+  if (metrics_) metrics_->start(sample_until);
 }
 
 bool Capture::export_files() const {

@@ -23,7 +23,6 @@
 
 #include "obs/metrics.h"
 #include "obs/span_recorder.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/trace.h"
 
@@ -55,15 +54,6 @@ class Capture {
  public:
   Capture(sim::Simulator& sim, CaptureOptions options);
 
-  /// Shard-aware form (DESIGN §14). One shard: exactly the serial capture.
-  /// Several shards: every shard's tracer feeds a private, thread-confined
-  /// span buffer during the run; `finalize()` merges them — concatenated in
-  /// shard order, stable-sorted by timestamp — into the one SpanRecorder.
-  /// Positive cross-shard wire latency means a request's events never tie
-  /// across shards, so the merge reconstructs each lifecycle exactly.
-  /// Metric ticks become ShardGroup sync events.
-  Capture(sim::ShardGroup& group, CaptureOptions options);
-
   const CaptureOptions& options() const { return options_; }
   SpanRecorder& spans() { return spans_; }
   const SpanRecorder& spans() const { return spans_; }
@@ -71,13 +61,8 @@ class Capture {
   MetricSampler* metrics() { return metrics_.get(); }
   const MetricSampler* metrics() const { return metrics_.get(); }
 
-  /// Installs the span sink(s) and (if configured) starts the sampler.
+  /// Installs the span sink and (if configured) starts the sampler.
   void start(sim::TimePoint sample_until);
-
-  /// Merges the per-shard span buffers into the recorder. No-op for serial
-  /// captures and on repeat calls; must run after the ShardGroup drains and
-  /// before spans() is read or files are exported.
-  void finalize();
 
   /// Writes <prefix><label>.trace.json / .breakdown.csv / .metrics.csv.
   /// No-op when export_prefix is empty. Returns false if any file failed.
@@ -85,10 +70,8 @@ class Capture {
 
  private:
   sim::Simulator& sim_;
-  sim::ShardGroup* group_ = nullptr;  // non-null only for multi-shard groups
   CaptureOptions options_;
   SpanRecorder spans_;
-  std::vector<std::vector<sim::SpanEvent>> shard_events_;
   std::unique_ptr<MetricSampler> metrics_;
 };
 

@@ -61,38 +61,9 @@ void MetricSampler::start(sim::TimePoint until) {
   sim_.after(cadence_, [this]() { tick(); });
 }
 
-void MetricSampler::start_synced(sim::ShardGroup& group, sim::TimePoint until) {
-  if (running_) return;
-  if (group.shard_count() == 1) {
-    // One shard has no barrier to ride; the plain repeating event keeps the
-    // serial tick sequencing bit for bit.
-    start(until);
-    return;
-  }
-  running_ = true;
-  until_ = until;
-  group_ = &group;
-  arm_synced(sim_.now() + cadence_);
-}
-
-void MetricSampler::arm_synced(sim::TimePoint at) {
-  // Each tick re-arms the next from inside its own sync callback; the chain
-  // dies when a tick lands past `until_` or past the run deadline (unfired
-  // syncs simply stay queued, like unfired serial events).
-  group_->sync_at(at, [this, at]() {
-    if (at > until_) return;
-    sample(at);
-    arm_synced(at + cadence_);
-  });
-}
-
 void MetricSampler::tick() {
-  if (sim_.now() > until_) return;
-  sample(sim_.now());
-  sim_.after(cadence_, [this]() { tick(); });
-}
-
-void MetricSampler::sample(sim::TimePoint now) {
+  const sim::TimePoint now = sim_.now();
+  if (now > until_) return;
   ++ticks_;
   for (const Block& block : blocks_) {
     const std::vector<double> values = block.probe();
@@ -103,6 +74,7 @@ void MetricSampler::sample(sim::TimePoint now) {
       series.values.push_back(values[i]);
     }
   }
+  sim_.after(cadence_, [this]() { tick(); });
 }
 
 const TimeSeries* MetricSampler::find(const std::string& name) const {

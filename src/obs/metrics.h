@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -56,13 +55,6 @@ class MetricSampler {
   /// or before) `until`. The first sample fires one cadence from now.
   void start(sim::TimePoint until);
 
-  /// Multi-shard variant: each tick is a ShardGroup sync event (DESIGN §14),
-  /// so probes may read any shard's state — the barrier guarantees every
-  /// shard has fired all events before the tick instant and none at or after
-  /// it. With one shard this is exactly `start()`: same event, same clock,
-  /// same series.
-  void start_synced(sim::ShardGroup& group, sim::TimePoint until);
-
   const std::vector<TimeSeries>& series() const { return series_; }
   const TimeSeries* find(const std::string& name) const;
   std::uint64_t ticks() const { return ticks_; }
@@ -79,11 +71,8 @@ class MetricSampler {
   };
 
   void tick();
-  void sample(sim::TimePoint now);
-  void arm_synced(sim::TimePoint at);
 
   sim::Simulator& sim_;
-  sim::ShardGroup* group_ = nullptr;  // synced mode only
   sim::Duration cadence_;
   sim::TimePoint until_;
   std::vector<TimeSeries> series_;

@@ -137,11 +137,11 @@ void TorScheduler::attach(net::EthernetSwitch& client_network,
   // one-picosecond phase shift keeps the whole tick chain (self-rescheduled
   // at now + probe_interval, so the phase persists) off every round-number
   // instant in a run — measurement boundaries, fault injections, other
-  // interval lattices. A tick that shares an instant with another event has
-  // shard-count-dependent order (shard.h's mailbox contract assumes such
-  // ties are measure-zero), and a probe decision flipping across the
-  // measure-end snapshot is exactly the kind of tie a round lattice makes
-  // measure-positive.
+  // interval lattices. A tick that shares an instant with another event is
+  // ordered by event sequence numbers, not by the model, and a probe
+  // decision flipping across the measure-end snapshot is exactly the kind
+  // of tie a round lattice makes common. The failover goldens pin this
+  // phase.
   if (params_.failover) {
     sim_.after(params_.probe_interval + sim::Duration::picos(1),
                [this]() { health_tick(); });
@@ -508,11 +508,10 @@ void TorScheduler::maybe_hedge(std::uint64_t request_id) {
   // instead of being stuck behind the one-shot timer it armed pre-crash.
   // The extra picosecond keeps the recheck off the uplink arrival lattice:
   // with lattice-valued service times, last_heard + hedge_after often *is*
-  // a future frame-arrival instant, and a self-event tied with a cross-
-  // shard delivery has shard-count-dependent order (shard.h assumes such
-  // ties are measure-zero). One tick later, the race resolves the same way
-  // under every shard count: frame landed → still silent? defers; else
-  // hedges.
+  // a future frame-arrival instant, and a self-event tied with a delivery
+  // is ordered by event sequence numbers, not by the model. One tick later
+  // the race has one answer: frame landed → still silent? defers; else
+  // hedges. The hedged-rack goldens pin this phase.
   HostState& primary = *hosts_[entry.host];
   if (!primary.dead && primary.last_heard + params_.hedge_after > now) {
     sim_.at(primary.last_heard + params_.hedge_after + sim::Duration::picos(1),

@@ -264,9 +264,7 @@ class TorScheduler : public net::PacketSink {
   net::Ipv4Address vip_ip() const;
   std::size_t host_count() const { return hosts_.size(); }
 
-  /// The ToR→host downlink wire, for shard placement: when host `host` runs
-  /// on its own shard, the cluster builder marks this wire as crossing from
-  /// the ToR's shard to the host's.
+  /// The ToR→host downlink wire, for link-partition faults.
   net::Wire& downlink_wire(std::size_t host) { return *hosts_[host]->downlink; }
 
   /// Installs the kJsqIdeal oracle: a function returning host `i`'s true

@@ -18,8 +18,8 @@
 // destroyed; containers built on an arena must therefore be destroyed before
 // it (declare the arena first).
 //
-// Not thread-safe; an arena belongs to one component on one shard, exactly
-// like the containers it feeds.
+// Not thread-safe; an arena belongs to one component, exactly like the
+// containers it feeds.
 #pragma once
 
 #include <cstddef>

@@ -1,165 +1,36 @@
-// ShardGroup: conservative-lookahead parallel discrete-event simulation.
-//
-// A ShardGroup owns N independent `Simulator` shards — each with its own
-// event queue, clock, and tracer — and synchronizes them with the classic
-// conservative (Chandy–Misra–Bryant-style) windowing scheme:
-//
-//   * Every cross-shard communication path is a wire with a positive modelled
-//     latency, registered up front via `register_link`. The minimum over all
-//     registered links is the *lookahead* L.
-//   * Time advances in windows. Each epoch the coordinator computes
-//     `start` = the global minimum next-event time, fast-forwarding over idle
-//     gaps, and `end = start + L` (clipped at sync points and the run
-//     deadline). Every shard then fires its events with `when < end`
-//     concurrently: a cross-shard send produced inside the window leaves at
-//     `now >= start` and arrives at `now + latency >= start + L >= end`, so
-//     no shard can receive anything that would land inside the window it is
-//     currently executing.
-//   * Cross-shard delivery is a time-stamped mailbox, not a direct queue
-//     insert: `post()` appends to the source shard's outbox (single-writer
-//     during the window), and at the barrier the coordinator flushes all
-//     outboxes into the destination queues sorted by (when, source shard,
-//     send order). Destination sequence numbers are therefore assigned in a
-//     deterministic order, which is what makes multi-shard runs replayable:
-//     same seed, same shard count → bit-identical results.
-//
-// Shard-count invariance (digests identical for 1, 2, and N shards) holds
-// because per-shard sequence numbers preserve the relative order of any two
-// same-shard schedules, and entities on different shards only interact
-// through wires whose serialization makes equal-timestamp cross-source
-// deliveries measure-zero; the `sim_shard_determinism_test` tier pins this
-// empirically across seeds and workload families.
-//
-// A group of one shard is exactly the serial engine: `run_until`/`run`
-// delegate to the shard's own loop, `sync_at` degenerates to `Simulator::at`,
-// and no mailboxes exist — bit-identity with pre-shard goldens is by
-// construction, not by testing luck.
+// ShardGroup: a one-simulator holder that only perfbench uses. Its
+// topology-build timer constructs `sim::ShardGroup group(1)` and hands it to
+// ClusterBuilder. The serial `Simulator` is the only engine (DESIGN §14); a
+// benchmark change that builds over a `Simulator` directly deletes this
+// header.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <memory>
-#include <thread>
-#include <vector>
+#include <stdexcept>
 
 #include "sim/simulator.h"
-#include "sim/time.h"
 
 namespace nicsched::sim {
 
 class ShardGroup {
  public:
-  explicit ShardGroup(std::size_t shard_count = 1);
-  ~ShardGroup();
+  explicit ShardGroup(std::size_t shard_count) {
+    if (shard_count != 1) {
+      throw std::invalid_argument("ShardGroup: only one shard is supported");
+    }
+  }
 
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
-  std::size_t shard_count() const { return shards_.size(); }
-
-  Simulator& shard(std::size_t index) { return *shards_[index]; }
-  const Simulator& shard(std::size_t index) const { return *shards_[index]; }
-
-  /// Shard 0 — where clients, the client network, and the ToR live in the
-  /// cluster placement; the natural "main" simulator for callers that only
-  /// ever use one shard.
-  Simulator& front() { return *shards_[0]; }
-
-  /// Declares a cross-shard link. The minimum latency over all declared
-  /// links bounds the sync window; posting through an undeclared (or
-  /// shorter) link trips the arrival check in post(). Latency must be
-  /// positive — a zero-latency cross-shard link would collapse the window.
-  void register_link(Duration latency);
-
-  /// The current sync window width: min over registered links, or
-  /// Duration::max() when no link is registered (fully independent shards).
-  Duration lookahead() const { return lookahead_; }
-
-  /// Mails `fn` from shard `src`'s running window into shard `dst`'s queue,
-  /// to fire at `when`. Wait-free for the posting shard; the actual queue
-  /// insert happens at the next barrier. `when` must be at or after the
-  /// current window's end (guaranteed by any link with latency >=
-  /// lookahead()); violations throw, because they would mean a shard could
-  /// observe an event inside a window another shard already executed.
-  void post(std::uint32_t src, std::uint32_t dst, TimePoint when, EventFn fn);
-
-  /// Schedules `fn` to run on the coordinating thread at sim time `when`,
-  /// after every shard has fired all events at or before `when` and before
-  /// any shard fires an event after it. All shard clocks read exactly `when`
-  /// inside `fn`, and all shard state may be touched — this is the only
-  /// sanctioned way to read or mutate cross-shard state mid-run (snapshots,
-  /// metric sampling ticks). With one shard this is exactly
-  /// `front().at(when, fn)`; the inclusive cut matches that serial ordering
-  /// as long as syncs are registered after the components whose events can
-  /// coincide with them (events scheduled *after* the sync that land exactly
-  /// at `when` fire before it here but after it serially — the harness never
-  /// creates that pairing). Multiple syncs at one instant run in
-  /// registration order. Must be called from the coordinating thread (setup
-  /// code or another sync callback).
-  void sync_at(TimePoint when, EventFn fn);
-
-  /// Runs until every queue, mailbox, and sync is drained (or a shard called
-  /// stop()). Returns events fired by this call across all shards.
-  std::uint64_t run();
-
-  /// Runs events with timestamps <= `deadline`; every shard clock finishes
-  /// at `deadline` even if it drained earlier. Returns events fired across
-  /// all shards.
-  std::uint64_t run_until(TimePoint deadline);
-
-  /// Total events fired across all shards since construction.
-  std::uint64_t events_fired() const;
+  operator Simulator&() { return *sim_; }
 
  private:
-  struct Mail {
-    TimePoint when;
-    std::uint32_t dst;
-    EventFn fn;
-  };
-  // One outbox per source shard, cache-line-isolated: the source thread
-  // appends during its window, the coordinator drains at the barrier.
-  struct alignas(64) Outbox {
-    std::vector<Mail> mail;
-  };
-
-  void start_workers();
-  void worker_main(std::size_t index);
-  /// Drains every outbox into the destination queues, sorted by
-  /// (when, src, send order). Coordinator-only, between epochs.
-  void flush_mailboxes();
-  /// Runs one concurrent window [.., end) across all shards. Returns events
-  /// fired in the window.
-  std::uint64_t run_epoch(TimePoint end);
-  /// Shared drain loop; `deadline` is TimePoint::max() for run().
-  std::uint64_t drain(TimePoint deadline, bool finish_clocks_at_deadline);
-  bool any_stopped() const;
-
-  std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<Outbox> outboxes_;
-  std::vector<Mail*> flush_scratch_;
-  // Sync events keyed by time; multimap preserves registration order within
-  // one instant.
-  std::multimap<TimePoint, EventFn> syncs_;
-  Duration lookahead_ = Duration::max();
-
-  // Epoch protocol state. The coordinator publishes window_end_, bumps
-  // epoch_ (release), and runs shard 0 itself; workers acquire epoch_, run
-  // their shard's window, and arrive (release). Futex-backed atomic waits
-  // keep the idle side cheap on oversubscribed machines; a short spin keeps
-  // latency down when real cores are available.
-  std::vector<std::thread> workers_;
-  TimePoint window_end_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> arrived_{0};
-  std::atomic<bool> shutdown_{false};
-  int spin_budget_ = 0;
-  // NICSCHED_SHARD_PIN=1: pin worker thread i to core i (core 0 stays with
-  // the coordinating thread, which runs shard 0 in place). No-op with a
-  // one-time warning when the machine has fewer cores than shards, or on
-  // platforms without thread affinity. Scheduling-only: pinning cannot
-  // change results, and the determinism tier runs with and without it.
-  bool pin_workers_ = false;
+  // Heap-held: perfbench's timed topology build runs in the stack frame
+  // that holds this object, and an inline Simulator there read about a
+  // quarter slower in setup time on a 4-vCPU VM.
+  std::unique_ptr<Simulator> sim_ = std::make_unique<Simulator>();
 };
 
 }  // namespace nicsched::sim

@@ -34,22 +34,6 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
   return fired;
 }
 
-std::uint64_t Simulator::run_window(TimePoint end) {
-  std::uint64_t fired = 0;
-  TimePoint when;
-  EventFn callback;
-  while (!stopped_) {
-    const TimePoint next = queue_.next_event_time();
-    if (next >= end) break;
-    if (!queue_.pop_next(when, callback)) break;
-    now_ = when;
-    callback();
-    ++fired;
-    ++events_fired_;
-  }
-  return fired;
-}
-
 bool Simulator::step() {
   TimePoint when;
   EventFn callback;

@@ -61,32 +61,11 @@ class Simulator {
   /// Convenience: run_until(now() + span).
   std::uint64_t run_for(Duration span) { return run_until(now_ + span); }
 
-  /// Runs events with timestamps strictly before `end`, leaving the clock at
-  /// the last fired event (it does NOT fast-forward to `end`). This is the
-  /// shard-window primitive of the conservative-lookahead parallel engine:
-  /// cross-shard sends produced inside a window [start, end) always arrive at
-  /// or after `end`, so a ShardGroup may run every shard's window
-  /// concurrently and exchange mailboxes at the barrier. Returns events
-  /// fired; ignores stop() semantics on entry (does not reset stopped_).
-  std::uint64_t run_window(TimePoint end);
-
-  /// Fast-forwards the clock without firing anything. Never moves backwards.
-  void advance_to(TimePoint t) {
-    if (t > now_) now_ = t;
-  }
-
   /// Fires exactly one event if present. Returns false if queue is empty.
   bool step();
 
   /// Makes run()/run_until() return after the current event completes.
   void stop() { stopped_ = true; }
-
-  bool stopped() const { return stopped_; }
-
-  /// Re-arms a stopped simulator. run()/run_until() do this on entry; the
-  /// ShardGroup drain loop does it explicitly because it drives shards
-  /// through run_window(), which deliberately leaves stop state alone.
-  void reset_stop() { stopped_ = false; }
 
   /// Total events fired since construction.
   std::uint64_t events_fired() const { return events_fired_; }

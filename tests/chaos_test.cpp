@@ -1,24 +1,21 @@
 // The chaos tier (DESIGN §16): seed-derived composed fault storms — host
 // crashes, link partitions, worker stalls/crashes, loss windows — sprayed
 // across a failover rack running every server family, with overload control
-// and the tenant layer active, checked for three properties:
+// and the tenant layer active, checked for two properties:
 //
 //   * Conservation: at quiescence every issued request is accounted for
 //     exactly once (sent == completed + rejected + expired + abandoned +
 //     outstanding), no matter what the storm did to the rack mid-run.
-//   * Replay: the same seed reproduces the run bit for bit.
-//   * Shard invariance: the digest of everything observable is independent
-//     of how many simulator shards executed the run.
+//   * Replay: the same seed reproduces the run bit for bit, down to the
+//     order in which responses reach the clients.
 //
 // The smoke tier (NICSCHED_FAST=1, the `chaos_smoke` ctest entry) keeps one
-// seed and shard counts {1, 2}; the full tier runs three seeds and {1, 2, 4}.
+// seed; the full tier runs three.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <tuple>
 #include <vector>
 
 #include "core/testbed.h"
@@ -42,11 +39,6 @@ std::vector<std::uint64_t> tier_seeds() {
                      : std::vector<std::uint64_t>{11, 12, 13};
 }
 
-std::vector<std::size_t> tier_shard_counts() {
-  return fast_mode() ? std::vector<std::size_t>{1, 2}
-                     : std::vector<std::size_t>{1, 2, 4};
-}
-
 class Digest {
  public:
   void add(std::uint64_t value) {
@@ -67,8 +59,8 @@ class Digest {
 /// A 4-host failover+hedge rack under a chaos storm, with overload control
 /// (deadlines + retries) and a two-tenant mix active — the kitchen-sink
 /// configuration the tier is about.
-core::ExperimentConfig chaos_config(core::SystemKind kind, std::uint64_t seed,
-                                    std::size_t shards) {
+core::ExperimentConfig chaos_config(core::SystemKind kind,
+                                    std::uint64_t seed) {
   overload::OverloadParams over;
   over.enabled = true;
   over.deadline = sim::Duration::micros(400);
@@ -87,7 +79,6 @@ core::ExperimentConfig chaos_config(core::SystemKind kind, std::uint64_t seed,
           .with_rack(4, rack::TorPolicy::kPowerOfTwo)
           .with_failover()
           .with_hedging()
-          .with_shards(shards)
           .with_chaos(seed * 131 + 7)
           .with_overload(over)
           .with_tenants({tenant::make_tenant(1).named("lc").weighted(4).slo_class(
@@ -106,10 +97,9 @@ struct ChaosRun {
 /// Runs one chaos point and hashes everything observable; also asserts the
 /// conservation identity — the storm may cost requests (expired, abandoned,
 /// rejected) but never lose track of one.
-ChaosRun chaos_run(core::SystemKind kind, std::uint64_t seed,
-                   std::size_t shards) {
+ChaosRun chaos_run(core::SystemKind kind, std::uint64_t seed) {
   stats::ResponseLog log;
-  auto config = chaos_config(kind, seed, shards);
+  auto config = chaos_config(kind, seed);
   config.response_log = &log;
 
   ChaosRun run;
@@ -119,7 +109,7 @@ ChaosRun chaos_run(core::SystemKind kind, std::uint64_t seed,
   EXPECT_EQ(ca.sent, ca.completed + ca.rejected + ca.expired + ca.abandoned +
                          ca.outstanding)
       << "conservation broken: kind=" << core::to_string(kind)
-      << " seed=" << seed << " shards=" << shards;
+      << " seed=" << seed;
   EXPECT_GT(ca.completed, 0u);
   // Per-tenant conservation holds independently under the storm too.
   for (const auto& t : run.result.tenants) {
@@ -132,25 +122,7 @@ ChaosRun chaos_run(core::SystemKind kind, std::uint64_t seed,
 
   Digest digest;
   digest.add(log.seen());
-  // Hash the response records in a canonical order, not log-append order.
-  // The shard contract (sim/shard.h) totally orders deliveries at distinct
-  // timestamps only; the failover machinery legitimately batches emissions
-  // onto one instant (a death verdict re-steers every stray in one event,
-  // every request pinned to a silent host re-arms its hedge at the same
-  // last_heard + hedge_after), so two clients on different shards can log
-  // responses at the same picosecond — and their append order then depends
-  // on the shard layout. The shard-invariant observable is the multiset.
-  auto recs = log.records();
-  std::vector<workload::ResponseRecord> canonical(recs.begin(), recs.end());
-  std::sort(canonical.begin(), canonical.end(),
-            [](const workload::ResponseRecord& x,
-               const workload::ResponseRecord& y) {
-              return std::tie(x.request_id, x.sent_at, x.received_at, x.kind,
-                              x.preempt_count, x.work) <
-                     std::tie(y.request_id, y.sent_at, y.received_at, y.kind,
-                              y.preempt_count, y.work);
-            });
-  for (const auto& r : canonical) {
+  for (const auto& r : log.records()) {
     digest.add(r.request_id);
     digest.add(r.kind);
     digest.add(r.preempt_count);
@@ -359,7 +331,7 @@ TEST(ChaosSchedule, BuildersDropInertInputs) {
 }
 
 // ---------------------------------------------------------------------------
-// The tier proper: conservation + replay + shard invariance under the storm.
+// The tier proper: conservation + replay under the storm.
 // ---------------------------------------------------------------------------
 
 TEST(ChaosTier, EveryFamilyConservesAndReplaysBitForBit) {
@@ -367,24 +339,10 @@ TEST(ChaosTier, EveryFamilyConservesAndReplaysBitForBit) {
     for (const std::uint64_t seed : tier_seeds()) {
       SCOPED_TRACE(std::string(core::to_string(kind)) +
                    " seed=" + std::to_string(seed));
-      const ChaosRun first = chaos_run(kind, seed, 1);
-      const ChaosRun second = chaos_run(kind, seed, 1);
+      const ChaosRun first = chaos_run(kind, seed);
+      const ChaosRun second = chaos_run(kind, seed);
       EXPECT_EQ(first.digest, second.digest) << "chaos replay diverged";
       ASSERT_GT(first.result.clients.sent, 0u);
-    }
-  }
-}
-
-TEST(ChaosTier, DigestInvariantAcrossShardCounts) {
-  for (const core::SystemKind kind : kFamilies) {
-    for (const std::uint64_t seed : tier_seeds()) {
-      const std::uint64_t serial = chaos_run(kind, seed, 1).digest;
-      for (const std::size_t shards : tier_shard_counts()) {
-        if (shards == 1) continue;
-        EXPECT_EQ(chaos_run(kind, seed, shards).digest, serial)
-            << "kind=" << core::to_string(kind) << " seed=" << seed
-            << " shards=" << shards;
-      }
     }
   }
 }
@@ -397,7 +355,7 @@ TEST(ChaosTier, StormActuallyBitesAndDeadHostsStayDead) {
   // the dead-incarnation EWMA rule's books balance: the rack-wide discard
   // counter is exactly the sum of the per-host ones (a sample from before
   // the death verdict must never resurrect the dead host's load estimate).
-  auto config = chaos_config(core::SystemKind::kShinjukuOffload, 11, 1);
+  auto config = chaos_config(core::SystemKind::kShinjukuOffload, 11);
   config.chaos.reset();
   config.with_faults(fault::FaultSchedule{}
                          .crash_host(at_ms(1) + sim::Duration::micros(500), 2)

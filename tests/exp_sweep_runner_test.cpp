@@ -182,18 +182,9 @@ TEST(SweepRunner, RunConfigsKeepsOrderAcrossSystems) {
   }
 }
 
-TEST(SweepRunner, ShardOverrideMatchesSerialAndDividesThePool) {
-  // The pool shrinks so points x shards stays at the thread budget...
-  exp::SweepRunner sharded(
-      exp::SweepRunner::Options{.threads = 8, .shards = 4});
-  EXPECT_EQ(sharded.thread_count(), 2u);
-  EXPECT_EQ(sharded.shard_count(), 4u);
-  exp::SweepRunner starved(
-      exp::SweepRunner::Options{.threads = 2, .shards = 4});
-  EXPECT_EQ(starved.thread_count(), 1u);  // never below one point at a time
-
-  // ...and the override changes only where the points run, not what they
-  // compute: a rack sweep at 4 shards reproduces the serial results.
+TEST(SweepRunner, RackSweepOnFourThreadsMatchesOneThread) {
+  // Rack points build a ToR and four hosts per run; spreading them over a
+  // pool changes only where they run, not what they compute.
   const auto base = core::ExperimentConfig::offload()
                         .workers(2)
                         .outstanding(2)
@@ -201,14 +192,20 @@ TEST(SweepRunner, ShardOverrideMatchesSerialAndDividesThePool) {
                         .samples(2'000)
                         .with_rack(4)
                         .with_seed(11);
-  const auto loads = exp::load_grid(100e3, 200e3, 2);
+  const auto loads = exp::load_grid(100e3, 250e3, 4);
   exp::SweepRunner serial(exp::SweepRunner::Options{.threads = 1});
+  exp::SweepRunner pooled(exp::SweepRunner::Options{.threads = 4});
   const auto reference = serial.run(base, loads);
-  const auto parallel = sharded.run(base, loads);
-  ASSERT_EQ(parallel.size(), reference.size());
+  const auto parallel = pooled.run(base, loads);
+  ASSERT_EQ(parallel.size(), loads.size());
+  ASSERT_EQ(reference.size(), loads.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     SCOPED_TRACE("load index " + std::to_string(i));
     expect_summary_identical(parallel[i].summary, reference[i].summary);
+    ASSERT_TRUE(parallel[i].rack.has_value());
+    ASSERT_TRUE(reference[i].rack.has_value());
+    EXPECT_EQ(parallel[i].rack->requests_forwarded,
+              reference[i].rack->requests_forwarded);
   }
 }
 

@@ -174,7 +174,7 @@ TEST(SimAlloc, MessageChannelSteadyStateIsAllocationFree) {
   std::uint64_t received = 0;
   channel.set_on_message([&channel, &received]() {
     while (auto descriptor = channel.pop()) {
-      received += descriptor->request_id != 0 ? 1 : 1;
+      if (descriptor->request_id != 0) ++received;
     }
   });
 
