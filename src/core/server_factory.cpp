@@ -40,6 +40,7 @@ std::unique_ptr<Server> make_host_server(const HostSpec& spec,
       server.tx_batch_timeout = spec.tx_batch_timeout;
       server.reliability = spec.reliability;
       server.overload = spec.overload;
+      server.feedback_staleness = spec.feedback_staleness;
       server.load_feedback = spec.load_feedback;
       server.tenant = spec.tenant;
       if (spec.placement) server.placement = *spec.placement;

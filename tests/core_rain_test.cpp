@@ -80,37 +80,45 @@ TEST(CoreRain, FeedbackStalenessIsInertWithoutAdaptiveK) {
 TEST(CoreRain, FeedbackStalenessDelaysTheAdaptiveKReaction) {
   // Repeated 300 us stalls back up one worker; its sojourn samples drive the
   // adaptive-K governor. The knob must keep the loop working at any age
-  // (graceful degradation) — and a fresh loop never shrinks later than a
-  // stale one within the same run length.
-  for (const std::uint64_t seed : seeds()) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    overload::OverloadParams informed;
-    informed.enabled = true;
-    fault::FaultSchedule stalls;
-    for (int i = 0; i < 4; ++i) {
-      stalls.stall_worker(
-          sim::TimePoint::origin() + sim::Duration::millis(10 + i), 0,
-          sim::Duration::micros(300));
+  // (graceful degradation) on both families whose governor it feeds. Each
+  // delayed fold is one simulator event, so a stale run must fire more
+  // events than a fresh one — a knob that never reached the server would
+  // leave the two runs identical.
+  for (const core::SystemKind kind :
+       {core::SystemKind::kRain, core::SystemKind::kShinjukuOffload}) {
+    for (const std::uint64_t seed : seeds()) {
+      SCOPED_TRACE(std::string(core::to_string(kind)) + " seed " +
+                   std::to_string(seed));
+      overload::OverloadParams informed;
+      informed.enabled = true;
+      fault::FaultSchedule stalls;
+      for (int i = 0; i < 4; ++i) {
+        stalls.stall_worker(
+            sim::TimePoint::origin() + sim::Duration::millis(10 + i), 0,
+            sim::Duration::micros(300));
+      }
+      const auto base = core::ExperimentConfig::of(kind)
+                            .workers(4)
+                            .outstanding(4)
+                            .fixed_5us()
+                            .load(600e3)
+                            .samples(10'000)
+                            .with_seed(seed)
+                            .with_overload(informed)
+                            .with_faults(stalls);
+      const auto fresh = core::run_experiment(base);
+      const auto stale = core::run_experiment(
+          core::ExperimentConfig(base).with_feedback_staleness(
+              sim::Duration::micros(100)));
+      EXPECT_GT(fresh.server.overload.k_shrinks, 0u)
+          << "the stall backlog never tripped the sojourn governor";
+      EXPECT_GT(stale.server.overload.k_shrinks, 0u)
+          << "stale feedback must delay the governor, not disable it";
+      EXPECT_GT(stale.events_fired, fresh.events_fired)
+          << "the staleness knob never delayed a fold";
+      expect_conserved(fresh.clients);
+      expect_conserved(stale.clients);
     }
-    const auto base = core::ExperimentConfig::rain()
-                          .workers(4)
-                          .outstanding(4)
-                          .fixed_5us()
-                          .load(600e3)
-                          .samples(10'000)
-                          .with_seed(seed)
-                          .with_overload(informed)
-                          .with_faults(stalls);
-    const auto fresh = core::run_experiment(base);
-    const auto stale = core::run_experiment(
-        core::ExperimentConfig(base).with_feedback_staleness(
-            sim::Duration::micros(100)));
-    EXPECT_GT(fresh.server.overload.k_shrinks, 0u)
-        << "the stall backlog never tripped the sojourn governor";
-    EXPECT_GT(stale.server.overload.k_shrinks, 0u)
-        << "stale feedback must delay the governor, not disable it";
-    expect_conserved(fresh.clients);
-    expect_conserved(stale.clients);
   }
 }
 

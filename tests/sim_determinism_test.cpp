@@ -396,6 +396,14 @@ const Scenario kScenarios[] = {
            .with_feedback_staleness(sim::Duration::micros(20));
      },
      shrank_k, 0xed2e1edc997c3f3bULL},
+    // Recorded once make_host_server passed the staleness knob to
+    // shinjuku-offload hosts.
+    {"shinjuku-offload/overload-stale",
+     [] {
+       return overload_config(SystemKind::kShinjukuOffload)
+           .with_feedback_staleness(sim::Duration::micros(20));
+     },
+     shrank_k, 0x9f68d51f40bd2727ULL},
     {"shinjuku/hedged-rack",
      [] { return hedged_rack_config(SystemKind::kShinjuku); }, cancelled,
      0x4766954e68c71654ULL},
