@@ -7,7 +7,8 @@
 //
 // A second table pins the dispatch-core paths the first one never reaches:
 // rain and rpcvalet, reliable dispatch under loss and crashes, overload with
-// tenants, and hedged racks. Those digests also hash every reliability,
+// tenants, hedged and p2c racks, every fault-surface hook, and the
+// run-to-completion policies. Those digests also hash every reliability,
 // overload, cancel, and tenant counter.
 //
 // Regenerate goldens (only legitimate after a change that intentionally
@@ -323,6 +324,28 @@ core::ExperimentConfig hedged_rack_config(core::SystemKind kind) {
       .with_faults(schedule);
 }
 
+/// Four workers under one schedule that reaches every hook of a server's
+/// fault surface: ingress loss, dispatch loss, ingress degrade, and a worker
+/// stall, crash and resume.
+core::ExperimentConfig worker_faults_config(core::SystemKind kind) {
+  fault::FaultSchedule schedule;
+  schedule.with_seed(23)
+      .ingress_loss(at_us(1200), at_us(1600), 0.05)
+      .dispatch_loss(at_us(1300), at_us(1700), 0.05)
+      .degrade_ingress(at_us(2500), at_us(2800), 4.0)
+      .stall_worker(at_us(1500), 1, sim::Duration::micros(200))
+      .crash_worker(at_us(2000), 2)
+      .resume_worker(at_us(2400), 2);
+  return bimodal_config(kind, 7).workers(4).with_faults(schedule);
+}
+
+/// Four hosts behind a power-of-two-choices ToR, which steers on the
+/// sojourn every family echoes on its responses.
+core::ExperimentConfig p2c_rack_config(core::SystemKind kind) {
+  return bimodal_config(kind, 8).load(600e3).with_rack(
+      4, rack::TorPolicy::kPowerOfTwo);
+}
+
 struct Scenario {
   const char* name;
   std::function<core::ExperimentConfig()> make;
@@ -416,6 +439,60 @@ const Scenario kScenarios[] = {
     {"rain/hedged-rack",
      [] { return hedged_rack_config(SystemKind::kRain); }, cancelled,
      0x28a6b10a47533112ULL},
+    // Recorded before the four host families' workers, ingress and fault
+    // surfaces were merged into one skeleton: run-to-completion policies,
+    // multi-group shinjuku, offload's Linux timers, and every family's
+    // sojourn echo under a p2c ToR.
+    {"work-stealing/bimodal",
+     [] { return bimodal_config(SystemKind::kWorkStealing, 1); },
+     [](const core::ServerStats& s) { return s.steals > 0; },
+     0xcd94b8802f7eacc4ULL},
+    {"flow-director/bimodal",
+     [] { return bimodal_config(SystemKind::kFlowDirector, 1); }, any,
+     0xd731bf3c54fcb4ddULL},
+    {"elastic-rss/bimodal",
+     [] { return bimodal_config(SystemKind::kElasticRss, 1); }, any,
+     0xbf745f09a08a51a1ULL},
+    {"rss/overload", [] { return overload_config(SystemKind::kRss); },
+     [](const core::ServerStats& s) {
+       return s.overload.rejected > 0 && s.tenants.size() == 2;
+     },
+     0xec5d01413567150bULL},
+    {"shinjuku/worker-faults",
+     [] { return worker_faults_config(SystemKind::kShinjuku).dispatchers(2); },
+     any, 0x42f600ae6bf6167bULL},
+    {"shinjuku-offload/worker-faults",
+     [] { return worker_faults_config(SystemKind::kShinjukuOffload); }, any,
+     0xb0ee0d9562611b52ULL},
+    {"ideal-nic/worker-faults",
+     [] { return worker_faults_config(SystemKind::kIdealNic); },
+     [](const core::ServerStats& s) {
+       return s.reliability.loss_injections_ignored > 0;
+     },
+     0x704ac80d7a373c83ULL},
+    {"rss/worker-faults",
+     [] { return worker_faults_config(SystemKind::kRss); }, any,
+     0x4c32157860d690deULL},
+    {"shinjuku-offload/linux-timers",
+     [] {
+       return bimodal_config(SystemKind::kShinjukuOffload, 2)
+           .timers(hw::TimerCosts::linux_signal())
+           .senders(2)
+           .place(hw::PlacementPolicy::kDdioL1);
+     },
+     any, 0xdb2751a208172e94ULL},
+    {"shinjuku/p2c-rack", [] { return p2c_rack_config(SystemKind::kShinjuku); },
+     any, 0x4b949df930774dddULL},
+    {"shinjuku-offload/p2c-rack",
+     [] { return p2c_rack_config(SystemKind::kShinjukuOffload); }, any,
+     0xc85b7754a81a5b34ULL},
+    {"rss/p2c-rack", [] { return p2c_rack_config(SystemKind::kRss); }, any,
+     0x7a2ef67a968c3940ULL},
+    {"ideal-nic/p2c-rack",
+     [] { return p2c_rack_config(SystemKind::kIdealNic); }, any,
+     0x544f0a68da579e5dULL},
+    {"rain/p2c-rack", [] { return p2c_rack_config(SystemKind::kRain); }, any,
+     0xac32e47277e4e191ULL},
 };
 
 TEST(SimDeterminism, DispatchCoreScenariosMatchGoldens) {
