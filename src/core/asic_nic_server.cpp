@@ -2,11 +2,11 @@
 
 #include <cstdio>
 #include <deque>
-#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
 
+#include "core/host_worker.h"
 #include "hw/interrupt.h"
 #include "obs/span.h"
 
@@ -22,14 +22,12 @@ struct Identity {
   std::uint16_t worker_port;
   const char* nic;
   const char* asic;
-  const char* worker_prefix;
 };
 
 const Identity& identity(AsicNicServer::Datapath datapath) {
-  static const Identity kCoherent{"ideal-nic", 4000,        8082,
-                                  "ideal-nic", "nic-asic", "ideal-worker"};
-  static const Identity kRdma{"rain",     5000,        8083,
-                              "rain-nic", "rain-asic", "rain-worker"};
+  static const Identity kCoherent{"ideal-nic", 4000, 8082, "ideal-nic",
+                                  "nic-asic"};
+  static const Identity kRdma{"rain", 5000, 8083, "rain-nic", "rain-asic"};
   return datapath == AsicNicServer::Datapath::kRdma ? kRdma : kCoherent;
 }
 
@@ -71,16 +69,17 @@ AsicNicServer::Link AsicNicServer::Link::of(Datapath datapath,
 
 /// A host worker polling its run-queue. Every status transition is one
 /// note written back to the NIC; preemption is a direct NIC→core interrupt.
-class AsicNicServer::Worker {
+class AsicNicServer::Worker final : public HostWorker {
  public:
   Worker(AsicNicServer& server, std::size_t id)
-      : server_(server),
+      : HostWorker(server.sim_, server.params_, "worker" + std::to_string(id),
+                   {static_cast<std::uint32_t>(100 + id), server.pf_,
+                    identity(server.config_.datapath).worker_port,
+                    server.config_.load_feedback, server.link_.write_cost,
+                    server.link_.write_cost}),
+        server_(server),
         id_(id),
-        core_(server.sim_,
-              core_config(server.params_,
-                          identity(server.config_.datapath).worker_prefix +
-                              std::to_string(id))),
-        interrupt_line_(server.sim_, core_,
+        interrupt_line_(server.sim_, core(),
                         hw::InterruptLine::Config{
                             server.link_.interrupt_latency,
                             server.params_.timer_receive_cycles}),
@@ -90,7 +89,7 @@ class AsicNicServer::Worker {
       // sojourn — the adaptive-K backlog signal. Pops consume stamps in
       // FIFO order, so dropped duplicates stay aligned.
       if (server_.ledger_.adaptive_k()) arrivals_.push_back(server_.sim_.now());
-      if (idle_) start_next();
+      wake();
     });
   }
 
@@ -103,39 +102,8 @@ class AsicNicServer::Worker {
     pending_sojourns_.push_back(sojourn);
   }
 
-  const hw::CpuCore& core() const { return core_; }
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t spurious() const { return interrupt_line_.spurious_count(); }
-  const hw::DdioStats& ddio() const { return ddio_; }
-
-  void on_preempted(sim::Duration remaining) {
-    ++preemptions_;
-    sim::Simulator& sim = server_.sim_;
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kRequeue,
-                      lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    descriptor.remaining_ps =
-        static_cast<std::uint64_t>(remaining.to_picos());
-    descriptor.preempt_count =
-        static_cast<std::uint16_t>(descriptor.preempt_count + 1);
-
-    const sim::Duration cost =
-        server_.params_.context_save_cost + server_.link_.write_cost;
-    core_.run(cost, [this, descriptor, seq = current_seq_]() {
-      post_note(NoteKind::kPreempted, seq, descriptor);
-      start_next();
-    });
-  }
-
  private:
-  void start_next() {
+  void start_next() override {
     auto assignment = run_queue_.pop();
     if (!assignment) {
       idle_ = true;
@@ -155,11 +123,12 @@ class AsicNicServer::Worker {
       start_next();
       return;
     }
+    // The echo is the request's central-queue delay.
     if (!pending_sojourns_.empty()) {
-      current_sojourn_ = pending_sojourns_.front();
+      echo_ = pending_sojourns_.front();
       pending_sojourns_.pop_front();
     } else {
-      current_sojourn_ = sim::Duration::zero();
+      echo_ = sim::Duration::zero();
     }
     current_seq_ = assignment->seq;
     current_local_sojourn_ = local_sojourn;
@@ -178,93 +147,45 @@ class AsicNicServer::Worker {
     if (shared->preempt_count > 0) {
       prologue += server_.params_.context_restore_cost;
     }
-    core_.run(prologue, [this, shared]() {
-      current_ = *shared;
-      sim::Simulator& sim = server_.sim_;
-      sim.trace(sim::TraceCategory::kWorker, [&] {
-        return std::pair{"worker" + std::to_string(id_),
-                         "start " + std::to_string(shared->request_id)};
-      });
-      if (sim.span_enabled()) {
-        const auto lane = static_cast<std::uint32_t>(100 + id_);
-        obs::end_span(sim, shared->request_id, obs::SpanKind::kDispatch, lane);
-        obs::begin_span(sim, shared->request_id, obs::SpanKind::kService,
-                        lane);
-      }
-      post_note(NoteKind::kStarted, current_seq_, *shared);
-      core_.run_preemptible(
-          sim::Duration::picos(static_cast<std::int64_t>(shared->remaining_ps)),
-          [this]() { on_complete(); });
+    core().run(prologue, [this, shared]() {
+      post_note(NoteKind::kStarted, *shared);
+      start(*shared, obs::SpanKind::kDispatch);
     });
   }
 
-  void on_complete() {
-    sim::Simulator& sim = server_.sim_;
-    sim.trace(sim::TraceCategory::kWorker, [&] {
-      return std::pair{"worker" + std::to_string(id_),
-                       "complete " + std::to_string(current_->request_id)};
-    });
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kResponse,
-                      lane);
+  void report(const proto::RequestDescriptor& descriptor,
+              bool preempted) override {
+    if (preempted) {
+      post_note(NoteKind::kPreempted, descriptor);
+    } else {
+      post_note(NoteKind::kCompleted, descriptor,
+                server_.ledger_.adaptive_k(), current_local_sojourn_);
     }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    const sim::Duration cost =
-        server_.params_.response_build_cost + server_.link_.write_cost;
-    core_.run(cost, [this, descriptor, seq = current_seq_,
-                     local_sojourn = current_local_sojourn_]() {
-      net::DatagramAddress address;
-      address.src_mac = server_.pf_->mac();
-      address.dst_mac = descriptor.client_mac;
-      address.src_ip = server_.pf_->ip();
-      address.dst_ip = descriptor.client_ip;
-      address.src_port = identity(server_.config_.datapath).worker_port;
-      address.dst_port = descriptor.client_port;
-      auto& scratch = proto::serialization_scratch();
-      auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
-        response.has_sojourn = true;
-        response.sojourn_ps =
-            static_cast<std::uint64_t>(current_sojourn_.to_picos());
-      }
-      response.serialize_into(scratch);
-      server_.pf_->transmit(net::make_udp_datagram(address, scratch));
-      ++responses_sent_;
-      post_note(NoteKind::kCompleted, seq, descriptor,
-                server_.ledger_.adaptive_k(), local_sojourn);
-      start_next();
-    });
+    start_next();
+  }
+
+  std::uint64_t spurious_interrupts() const override {
+    return interrupt_line_.spurious_count();
   }
 
   /// Writes one status note. The worker-side cost was already charged to
-  /// this core by the caller's `core_.run`.
-  void post_note(NoteKind kind, std::uint64_t seq,
-                 const proto::RequestDescriptor& descriptor,
+  /// this core by the op that calls it.
+  void post_note(NoteKind kind, const proto::RequestDescriptor& descriptor,
                  bool has_sojourn = false,
                  sim::Duration sojourn = sim::Duration::zero()) {
-    server_.status_channel_.send(
-        StatusNote{id_, kind, seq, descriptor, has_sojourn, sojourn});
+    server_.status_channel_.send(StatusNote{id_, kind, current_seq_,
+                                            descriptor, has_sojourn, sojourn});
   }
 
   AsicNicServer& server_;
   std::size_t id_;
-  hw::CpuCore core_;
   hw::InterruptLine interrupt_line_;
   hw::MessageChannel<Assignment> run_queue_;
-  bool idle_ = true;
-  std::optional<proto::RequestDescriptor> current_;
   std::uint64_t current_seq_ = 0;
   std::deque<sim::TimePoint> arrivals_;
   std::deque<sim::Duration> pending_sojourns_;
   std::unordered_set<std::uint64_t> seen_seqs_;
-  sim::Duration current_sojourn_;        // central-queue delay (ToR echo)
   sim::Duration current_local_sojourn_;  // run-queue wait (adaptive-K input)
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t responses_sent_ = 0;
-  hw::DdioStats ddio_;
 };
 
 // ------------------------------------------------------------- the server
@@ -272,14 +193,20 @@ class AsicNicServer::Worker {
 AsicNicServer::AsicNicServer(sim::Simulator& sim, net::EthernetSwitch& network,
                              const ModelParams& params, Config config)
     : sim_(sim),
-      network_(network),
       params_(params),
       config_(config),
       link_(Link::of(config.datapath, params)),
       nic_(sim, nic_config(params, identity(config.datapath).nic)),
+      pf_(&nic_.add_interface(
+          "pf", net::MacAddress::from_index(identity(config.datapath).pf_index),
+          net::Ipv4Address::from_index(identity(config.datapath).pf_index))),
       asic_(sim, core_config(params, identity(config.datapath).asic)),
       status_channel_(sim, link_.channel_latency),
       queue_(config.queue_policy, config.overload, config.tenant),
+      // Informed admission straight in the ASIC pipeline: the reject frame
+      // leaves without involving any host core.
+      ingress_(sim, *pf_, config.udp_port, "nic", 0, queue_,
+               [this](std::uint64_t request_id) { queue_.cancel(request_id); }),
       ledger_(sim, queue_,
               {config.worker_count, config.outstanding_per_worker,
                config.reliability, config.overload, config.feedback_staleness,
@@ -299,20 +226,29 @@ AsicNicServer::AsicNicServer(sim::Simulator& sim, net::EthernetSwitch& network,
     throw std::invalid_argument("AsicNicServer: K must be >= 1");
   }
 
-  const std::uint32_t pf_index = identity(config_.datapath).pf_index;
-  pf_ = &nic_.add_interface("pf", net::MacAddress::from_index(pf_index),
-                            net::Ipv4Address::from_index(pf_index));
   nic_.attach_to_switch(network, params_.stingray_port_latency,
                         params_.line_rate_gbps);
 
   ingress_pump_ = std::make_unique<PacketPump>(
       asic_, pf_->ring(0), params_.asic_dispatch_cost,
-      [this](net::Packet packet) { scheduler_handle(std::move(packet)); });
+      [this](net::Packet packet) {
+        if (auto descriptor = ingress_.accept(packet, 0)) {
+          queue_.push_new(std::move(*descriptor), sim_.now());
+          scheduler_kick();
+        }
+      });
   status_channel_.set_on_message([this]() { scheduler_kick(); });
 
+  std::vector<hw::CpuCore*> cores;
+  cores.reserve(config_.worker_count);
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i));
+    cores.push_back(&workers_.back()->core());
   }
+  surface_.emplace(network, pf_->mac(), std::move(cores),
+                   [this](double probability, std::uint64_t) {
+                     ignore_dispatch_loss(probability);
+                   });
 }
 
 AsicNicServer::~AsicNicServer() = default;
@@ -324,76 +260,6 @@ std::string AsicNicServer::name() const {
 net::MacAddress AsicNicServer::ingress_mac() const { return pf_->mac(); }
 
 net::Ipv4Address AsicNicServer::ingress_ip() const { return pf_->ip(); }
-
-void AsicNicServer::scheduler_handle(net::Packet packet) {
-  const auto datagram = net::parse_udp_datagram(packet);
-  if (!datagram || datagram->udp.dst_port != config_.udp_port) {
-    ++malformed_;
-    return;
-  }
-  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
-    if (const auto cancel = proto::CancelMessage::parse(datagram->payload)) {
-      // The losing leg of a ToR-hedged pair (DESIGN §16): mark the id for a
-      // lazy drop at dispatch. A mark whose request was already dispatched
-      // (or never arrived here) is consumed-or-harmless — ids are unique
-      // per run.
-      queue_.cancel(cancel->request_id);
-    } else {
-      ++malformed_;
-    }
-    return;
-  }
-  const auto request = proto::RequestMessage::parse(datagram->payload);
-  if (!request) {
-    ++malformed_;
-    return;
-  }
-  ++requests_received_;
-  sim_.trace(sim::TraceCategory::kClient, [&] {
-    return std::pair{std::string("nic"),
-                     "request " + std::to_string(request->request_id) +
-                         " received"};
-  });
-  // Informed admission (DESIGN §11) straight in the ASIC pipeline; the
-  // reject frame leaves without involving any host core. With tenants on
-  // (§13) the request is judged by its own tenant's gate and backlog.
-  const CentralQueue::Verdict verdict = queue_.admit(request->tenant, 0);
-  if (!verdict.admitted) {
-    if (sim_.span_enabled()) {
-      const sim::TimePoint rx = packet.rx_at();
-      obs::end_span_at(sim_, rx, request->request_id,
-                       obs::SpanKind::kClientWire, 0);
-      obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx,
-                         0);
-      obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
-      obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse, 0);
-    }
-    net::DatagramAddress reply;
-    reply.src_mac = pf_->mac();
-    reply.dst_mac = datagram->eth.src;
-    reply.src_ip = pf_->ip();
-    reply.dst_ip = datagram->ip.src;
-    reply.src_port = config_.udp_port;
-    reply.dst_port = datagram->udp.src_port;
-    auto& scratch = proto::serialization_scratch();
-    make_reject(*request, static_cast<std::uint32_t>(verdict.depth))
-        .serialize_into(scratch);
-    pf_->transmit(net::make_udp_datagram(reply, scratch));
-    return;
-  }
-  if (sim_.span_enabled()) {
-    const sim::TimePoint rx = packet.rx_at();
-    obs::end_span_at(sim_, rx, request->request_id,
-                     obs::SpanKind::kClientWire, 0);
-    obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx,
-                       0);
-    obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, 0);
-    obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
-                    0);
-  }
-  queue_.push_new(make_descriptor(*request, *datagram), sim_.now());
-  scheduler_kick();
-}
 
 void AsicNicServer::scheduler_kick() {
   if (pumping_) return;
@@ -504,20 +370,12 @@ void AsicNicServer::issue_preempt(std::size_t worker) {
   asic_.run(params_.asic_dispatch_cost, [this, worker]() {
     workers_[worker]->interrupt_line().send(
         [this, worker](sim::Duration remaining) {
-          workers_[worker]->on_preempted(remaining);
+          workers_[worker]->preempt(remaining);
         });
   });
 }
 
-// ----------------------------------------------------- fault::FaultSurface
-
-void AsicNicServer::inject_ingress_loss(double probability,
-                                        std::uint64_t seed) {
-  network_.set_port_loss(pf_->mac(), probability, seed);
-}
-
-void AsicNicServer::inject_dispatch_loss(double probability,
-                                         std::uint64_t /*seed*/) {
+void AsicNicServer::ignore_dispatch_loss(double probability) {
   // Dispatch here is a memory write into the host — coherent or one-sided
   // RDMA — with no loss hook. A schedule asking for dispatch loss asks for a
   // fault this fabric cannot express: count the attempt and warn once, so
@@ -534,40 +392,12 @@ void AsicNicServer::inject_dispatch_loss(double probability,
   }
 }
 
-void AsicNicServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(pf_->mac(), factor);
-}
-
-void AsicNicServer::inject_worker_stall(std::uint32_t worker,
-                                        sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void AsicNicServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void AsicNicServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
-}
-
 ServerStats AsicNicServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
-  stats.requests_received = requests_received_;
-  for (const auto& worker : workers_) {
-    stats.responses_sent += worker->responses_sent();
-    stats.preemptions += worker->preemptions();
-    stats.spurious_interrupts += worker->spurious();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
-  }
-  stats.drops =
-      nic_.rx_unknown_mac_drops() + malformed_ + pf_->ring(0).stats().dropped;
+  stats.requests_received = ingress_.requests_received();
+  for (const auto& worker : workers_) worker->add_to(stats, elapsed);
+  stats.drops = nic_.rx_unknown_mac_drops() + ingress_.malformed() +
+                pf_->ring(0).stats().dropped;
   queue_.add_to(stats);
   ledger_.add_to(stats);
   return stats;
@@ -575,13 +405,10 @@ ServerStats AsicNicServer::stats(sim::Duration elapsed) const {
 
 ServerTelemetry AsicNicServer::telemetry() const {
   ServerTelemetry t;
-  t.drops = malformed_ + pf_->ring(0).stats().dropped;
+  t.drops = ingress_.malformed() + pf_->ring(0).stats().dropped;
   queue_.add_to(t);
   ledger_.add_to(t);
-  for (const auto& worker : workers_) {
-    t.preemptions += worker->preemptions();
-    t.worker_busy.push_back(worker->core().stats().busy);
-  }
+  for (const auto& worker : workers_) worker->add_to(t);
   return t;
 }
 

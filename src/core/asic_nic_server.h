@@ -35,11 +35,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/central_queue.h"
 #include "core/dispatch_ledger.h"
+#include "core/ingress.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
@@ -56,7 +58,7 @@
 
 namespace nicsched::core {
 
-class AsicNicServer final : public Server, public fault::FaultSurface {
+class AsicNicServer final : public Server {
  public:
   /// The NIC↔worker datapath: the only per-system input.
   enum class Datapath {
@@ -108,19 +110,7 @@ class AsicNicServer final : public Server, public fault::FaultSurface {
 
   const CoreStatusTable& core_status() const { return ledger_.status(); }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// Counted and ignored: memory writes into the host have no loss hook.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
+  fault::FaultSurface* fault_surface() override { return &*surface_; }
 
  private:
   class Worker;
@@ -165,15 +155,16 @@ class AsicNicServer final : public Server, public fault::FaultSurface {
     bool preempt_in_flight = false;
   };
 
-  void scheduler_handle(net::Packet packet);
   void scheduler_kick();
   void scheduler_step();
   void handle_note(StatusNote note);
   void schedule_slice_check(std::size_t worker, std::uint64_t request_id);
   void issue_preempt(std::size_t worker);
+  /// Counted and warned about once: memory writes into the host have no
+  /// loss hook.
+  void ignore_dispatch_loss(double probability);
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
   Link link_;
@@ -189,13 +180,13 @@ class AsicNicServer final : public Server, public fault::FaultSurface {
   bool pumping_ = false;
 
   CentralQueue queue_;
+  Ingress ingress_;
   DispatchLedger ledger_;
   std::vector<RunningInfo> running_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::optional<fault::FaultSurface> surface_;
 
-  std::uint64_t requests_received_ = 0;
-  std::uint64_t malformed_ = 0;
   /// One stderr line per run for ignored dispatch-loss injections.
   bool warned_dispatch_loss_ = false;
 };

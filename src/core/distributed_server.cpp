@@ -1,9 +1,10 @@
 #include "core/distributed_server.h"
 
-#include "obs/span.h"
-
 #include <stdexcept>
 #include <utility>
+
+#include "core/host_worker.h"
+#include "obs/span.h"
 
 namespace nicsched::core {
 
@@ -27,17 +28,16 @@ net::Nic::Config nic_config(const ModelParams& params) {
 
 /// One run-to-completion core: polls its own ring, does all packet and
 /// request processing in place (IX's model), optionally steals when idle.
-class DistributedServer::Worker {
+class DistributedServer::Worker final : public HostWorker {
  public:
   Worker(DistributedServer& server, std::size_t id)
-      : server_(server),
+      : HostWorker(server.sim_, server.params_,
+                   "rtc-worker" + std::to_string(id),
+                   {static_cast<std::uint32_t>(100 + id), server.pf_,
+                    kWorkerPort, server.config_.load_feedback,
+                    sim::Duration::zero(), sim::Duration::zero()}),
+        server_(server),
         id_(id),
-        core_(server.sim_, [&] {
-          hw::CpuCore::Config config;
-          config.name = "rtc-worker" + std::to_string(id);
-          config.frequency = server.params_.host_frequency;
-          return config;
-        }()),
         admission_(server.config_.overload) {
     if (server.config_.tenant.enabled) {
       const auto& tenants = server.config_.tenant.tenants;
@@ -50,20 +50,27 @@ class DistributedServer::Worker {
             server.config_.tenant, server.config_.overload);
       }
     }
-    ring().set_on_packet([this]() {
-      if (idle_) start_next();
-    });
+    ring().set_on_packet([this]() { wake(); });
   }
 
-  const hw::CpuCore& core() const { return core_; }
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t requests_received() const { return requests_received_; }
-  std::uint64_t steals() const { return steals_; }
-  std::uint64_t admitted() const { return admitted_; }
-  std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t shed() const { return shed_; }
-  const hw::DdioStats& ddio() const { return ddio_; }
+  /// HostWorker's counters plus the ones only run-to-completion keeps:
+  /// requests parsed on this core, steals, and its own admission outcomes.
+  void add_to(ServerStats& stats, sim::Duration elapsed) const {
+    HostWorker::add_to(stats, elapsed);
+    stats.requests_received += requests_received_;
+    stats.steals += steals_;
+    stats.overload.admitted += admitted_;
+    stats.overload.rejected += rejected_;
+    stats.overload.shed_expired += shed_;
+    tenant::accumulate(stats.tenants, tenant_rows());
+  }
+  void add_to(ServerTelemetry& telemetry) const {
+    HostWorker::add_to(telemetry);
+    telemetry.outstanding +=
+        requests_received_ - responses_sent() - rejected_ - shed_;
+    telemetry.rejected += rejected_;
+    telemetry.shed += shed_;
+  }
 
   /// Per-tenant rows for this core (counters + its gates' outcomes); empty
   /// when the tenant layer is off.
@@ -84,13 +91,8 @@ class DistributedServer::Worker {
   /// Another worker went idle and may steal from us; called by the thief.
   std::optional<net::Packet> victimize() { return ring().pop(); }
 
-  /// Kick an idle worker (used after a steal attempt becomes possible).
-  void maybe_start() {
-    if (idle_) start_next();
-  }
-
  private:
-  void start_next() {
+  void start_next() override {
     auto packet = ring().pop();
     sim::Duration prologue =
         server_.params_.worker_pop_cost + server_.params_.networker_parse_cost;
@@ -114,11 +116,11 @@ class DistributedServer::Worker {
     prologue += hw::payload_touch_cost(
         stolen ? hw::PlacementPolicy::kDdioLlc : server_.config_.placement,
         server_.params_.cache_costs, queued_behind, ddio_);
-    core_.run(prologue, [this, p = std::move(*packet)]() {
+    core().run(prologue, [this, p = std::move(*packet)]() {
       // Ring sojourn: frame arrival at the NIC to the start of handling.
       // Run-to-completion serves one request at a time, so the sample is
       // still current when the response is built.
-      current_sojourn_ = server_.sim_.now() - p.rx_at();
+      echo_ = server_.sim_.now() - p.rx_at();
       const auto datagram = net::parse_udp_datagram(p);
       if (!datagram || !server_.accepts_port(datagram->udp.dst_port)) {
         ++server_.malformed_;
@@ -129,9 +131,7 @@ class DistributedServer::Worker {
           proto::MessageType::kCancel) {
         // Run-to-completion has no central queue to unqueue from — by the
         // time a ToR cancel reaches the core the request is either already
-        // running or already answered. Count it so hedged racks can see the
-        // frames arrived, and move on.
-        ++server_.cancels_ignored_;
+        // running or already answered, so the frame is dropped.
         start_next();
         return;
       }
@@ -167,16 +167,14 @@ class DistributedServer::Worker {
                          obs::SpanKind::kClientWire, lane);
         obs::begin_span_at(sim, rx, descriptor.request_id,
                            obs::SpanKind::kNicRx, lane);
-        obs::end_span(sim, descriptor.request_id, obs::SpanKind::kNicRx,
-                      lane);
-        obs::begin_span(sim, descriptor.request_id, obs::SpanKind::kService,
-                        lane);
       }
-      core_.run_preemptible(
-          sim::Duration::picos(
-              static_cast<std::int64_t>(descriptor.remaining_ps)),
-          [this, descriptor]() { on_complete(descriptor); });
+      start(descriptor, obs::SpanKind::kNicRx);
     });
+  }
+
+  /// Nobody to tell: the core serves its next packet.
+  void report(const proto::RequestDescriptor&, bool) override {
+    start_next();
   }
 
   /// Per-core overload control (DESIGN §11), applied at parse time — the
@@ -272,56 +270,19 @@ class DistributedServer::Worker {
     return packet;
   }
 
-  void on_complete(proto::RequestDescriptor descriptor) {
-    sim::Simulator& sim = server_.sim_;
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(sim, descriptor.request_id, obs::SpanKind::kService,
-                    lane);
-      obs::begin_span(sim, descriptor.request_id, obs::SpanKind::kResponse,
-                      lane);
-    }
-    core_.run(server_.params_.response_build_cost, [this, descriptor]() {
-      net::DatagramAddress address;
-      address.src_mac = server_.pf_->mac();
-      address.dst_mac = descriptor.client_mac;
-      address.src_ip = server_.pf_->ip();
-      address.dst_ip = descriptor.client_ip;
-      address.src_port = kWorkerPort;
-      address.dst_port = descriptor.client_port;
-      auto& scratch = proto::serialization_scratch();
-      auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
-        response.has_sojourn = true;
-        response.sojourn_ps =
-            static_cast<std::uint64_t>(current_sojourn_.to_picos());
-      }
-      response.serialize_into(scratch);
-      server_.pf_->transmit(net::make_udp_datagram(address, scratch));
-      ++responses_sent_;
-      start_next();
-    });
-  }
-
   DistributedServer& server_;
   std::size_t id_;
-  hw::CpuCore core_;
   /// Per-core admission state (each core only sees its own ring).
   overload::AdmissionController admission_;
   /// Tenant layer (DESIGN §13): per-tenant gates (overload on) and per-core
   /// per-tenant counters. Empty/null when the layer is off.
   std::unique_ptr<tenant::TenantAdmission> tenant_admission_;
   std::vector<tenant::TenantStats> tenant_stats_;
-  bool idle_ = true;
   std::uint64_t requests_received_ = 0;
-  std::uint64_t responses_sent_ = 0;
   std::uint64_t steals_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t rejected_ = 0;
   std::uint64_t shed_ = 0;
-  /// Ring wait of the request currently in service (load-feedback echo).
-  sim::Duration current_sojourn_;
-  hw::DdioStats ddio_;
 };
 
 // ------------------------------------------------------------- the server
@@ -330,7 +291,6 @@ DistributedServer::DistributedServer(sim::Simulator& sim,
                                      net::EthernetSwitch& network,
                                      const ModelParams& params, Config config)
     : sim_(sim),
-      network_(network),
       params_(params),
       config_(config),
       nic_(sim, nic_config(params)) {
@@ -362,9 +322,14 @@ DistributedServer::DistributedServer(sim::Simulator& sim,
   nic_.attach_to_switch(network, params_.stingray_port_latency,
                         params_.line_rate_gbps);
 
+  std::vector<hw::CpuCore*> cores;
+  cores.reserve(config_.worker_count);
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>(*this, i));
+    cores.push_back(&workers_.back()->core());
   }
+  // No dispatch-loss hook: run-to-completion has no dispatch hop.
+  surface_.emplace(network, pf_->mac(), std::move(cores));
 }
 
 DistributedServer::~DistributedServer() = default;
@@ -381,10 +346,8 @@ void DistributedServer::rebalance_tick() {
   }
   if (pf_->ring(hottest).depth() >=
       pf_->ring(coldest).depth() + config_.rebalance_threshold) {
-    if (pf_->rss_table()->remap_one(static_cast<std::uint32_t>(hottest),
-                                    static_cast<std::uint32_t>(coldest))) {
-      ++rebalances_;
-    }
+    pf_->rss_table()->remap_one(static_cast<std::uint32_t>(hottest),
+                                static_cast<std::uint32_t>(coldest));
   }
   sim_.after(config_.rebalance_period, [this]() { rebalance_tick(); });
 }
@@ -403,54 +366,12 @@ std::string DistributedServer::name() const {
   return "distributed";
 }
 
-void DistributedServer::inject_ingress_loss(double probability,
-                                            std::uint64_t seed) {
-  network_.set_port_loss(pf_->mac(), probability, seed);
-}
-
-void DistributedServer::inject_dispatch_loss(double /*probability*/,
-                                             std::uint64_t /*seed*/) {}
-
-void DistributedServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(pf_->mac(), factor);
-}
-
-void DistributedServer::inject_worker_stall(std::uint32_t worker,
-                                            sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void DistributedServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void DistributedServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
-}
-
 ServerStats DistributedServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
-  for (const auto& worker : workers_) {
-    stats.requests_received += worker->requests_received();
-    stats.responses_sent += worker->responses_sent();
-    stats.steals += worker->steals();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
-  }
+  for (const auto& worker : workers_) worker->add_to(stats, elapsed);
   stats.drops = nic_.rx_unknown_mac_drops() + malformed_;
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     stats.drops += pf_->ring(i).stats().dropped;
-  }
-  for (const auto& worker : workers_) {
-    stats.overload.admitted += worker->admitted();
-    stats.overload.rejected += worker->rejected();
-    stats.overload.shed_expired += worker->shed();
-    tenant::accumulate(stats.tenants, worker->tenant_rows());
   }
   return stats;
 }
@@ -462,13 +383,7 @@ ServerTelemetry DistributedServer::telemetry() const {
     t.queue_depth += pf_->ring(i).depth();
     t.drops += pf_->ring(i).stats().dropped;
   }
-  for (const auto& worker : workers_) {
-    t.outstanding += worker->requests_received() - worker->responses_sent() -
-                     worker->rejected() - worker->shed();
-    t.rejected += worker->rejected();
-    t.shed += worker->shed();
-    t.worker_busy.push_back(worker->core().stats().busy);
-  }
+  for (const auto& worker : workers_) worker->add_to(t);
   return t;
 }
 

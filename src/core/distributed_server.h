@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/model_params.h"
@@ -35,7 +36,7 @@
 
 namespace nicsched::core {
 
-class DistributedServer final : public Server, public fault::FaultSurface {
+class DistributedServer final : public Server {
  public:
   enum class Policy { kRss, kFlowDirector, kWorkStealing, kElasticRss };
 
@@ -95,22 +96,7 @@ class DistributedServer final : public Server, public fault::FaultSurface {
            dst_port < config_.udp_port + config_.worker_count;
   }
 
-  /// kElasticRss: indirection entries moved so far.
-  std::uint64_t rebalances() const { return rebalances_; }
-
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: run-to-completion has no dispatch hop to lose frames on.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
+  fault::FaultSurface* fault_surface() override { return &*surface_; }
 
  private:
   class Worker;
@@ -118,19 +104,15 @@ class DistributedServer final : public Server, public fault::FaultSurface {
   void rebalance_tick();
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
   net::Nic nic_;
   net::NicInterface* pf_ = nullptr;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::optional<fault::FaultSurface> surface_;
 
   std::uint64_t malformed_ = 0;
-  std::uint64_t rebalances_ = 0;
-  /// ToR kCancel frames received and ignored: run-to-completion cores have
-  /// no dispatch queue to drop the losing hedge leg from.
-  std::uint64_t cancels_ignored_ = 0;
 };
 
 }  // namespace nicsched::core

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/host_worker.h"
 #include "obs/span.h"
 
 namespace nicsched::core {
@@ -41,44 +42,29 @@ hw::CpuCore::Config arm_core(const ModelParams& params, std::string name) {
   return config;
 }
 
-hw::CpuCore::Config host_core(const ModelParams& params, std::string name) {
-  hw::CpuCore::Config config;
-  config.name = std::move(name);
-  config.frequency = params.host_frequency;
-  return config;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- Worker
 
 /// One host worker: a Dune/DPDK thread pinned to its own hyperthread,
 /// polling its own SR-IOV virtual function (§3.4.3).
-class ShinjukuOffloadServer::Worker {
+class ShinjukuOffloadServer::Worker final : public HostWorker {
  public:
   Worker(ShinjukuOffloadServer& server, std::size_t id,
          net::NicInterface& vf)
-      : server_(server),
+      : HostWorker(server.sim_, server.params_, "worker" + std::to_string(id),
+                   {static_cast<std::uint32_t>(100 + id), &vf, kWorkerPort,
+                    server.config_.load_feedback, sim::Duration::zero(),
+                    server.params_.packet_build_cost}),
+        server_(server),
         id_(id),
         vf_(vf),
-        core_(server.sim_,
-              host_core(server.params_, "worker" + std::to_string(id))),
-        timer_(server.sim_, core_, server.config_.timer_costs) {
-    vf_.ring(0).set_on_packet([this]() {
-      if (idle_) start_next();
-    });
+        timer_(server.sim_, core(), server.config_.timer_costs) {
+    vf_.ring(0).set_on_packet([this]() { wake(); });
   }
 
-  const hw::CpuCore& core() const { return core_; }
-  /// Fault-injection handle: the stall/crash hooks land on this core.
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t spurious() const { return timer_.spurious_count(); }
-  const hw::DdioStats& ddio() const { return ddio_; }
-
  private:
-  void start_next() {
+  void start_next() override {
     auto packet = vf_.ring(0).pop();
     if (!packet) {
       idle_ = true;
@@ -100,11 +86,12 @@ class ShinjukuOffloadServer::Worker {
     if (server_.config_.preemption_enabled) {
       prologue += timer_.set_cost();
     }
-    core_.run(prologue, [this, p = std::move(*packet)]() {
+    core().run(prologue, [this, p = std::move(*packet)]() {
       // Queue sojourn at this worker: frame arrival at the VF to the start
-      // of handling. Piggybacked on the feedback note so the dispatcher's
-      // adaptive-K governor sees per-worker backlog (DESIGN §11).
-      current_sojourn_ = server_.sim_.now() - p.rx_at();
+      // of handling. Echoed on the response and piggybacked on the feedback
+      // note so the dispatcher's adaptive-K governor sees per-worker
+      // backlog (DESIGN §11).
+      echo_ = server_.sim_.now() - p.rx_at();
       const auto datagram = net::parse_udp_datagram(p);
       if (!datagram) {
         start_next();
@@ -165,137 +152,66 @@ class ShinjukuOffloadServer::Worker {
     if (descriptor.preempt_count > 0) {
       // Resuming a previously preempted request: restore its context
       // (stack + registers) from host DRAM.
-      core_.run(server_.params_.context_restore_cost,
-                [this, descriptor]() { execute(descriptor); });
+      core().run(server_.params_.context_restore_cost,
+                 [this, descriptor]() { execute(descriptor); });
     } else {
       execute(descriptor);
     }
   }
 
-  void execute(proto::RequestDescriptor descriptor) {
-    server_.sim_.trace(sim::TraceCategory::kWorker, [&] {
-      return std::pair{"worker" + std::to_string(id_),
-                       "start " + std::to_string(descriptor.request_id)};
-    });
-    if (server_.sim_.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(server_.sim_, descriptor.request_id,
-                    obs::SpanKind::kDispatch, lane);
-      obs::begin_span(server_.sim_, descriptor.request_id,
-                      obs::SpanKind::kService, lane);
-    }
-    current_ = descriptor;
+  void execute(const proto::RequestDescriptor& descriptor) {
     if (server_.config_.preemption_enabled) {
       timer_.arm(server_.config_.time_slice,
-                 [this](sim::Duration remaining) { on_preempted(remaining); });
+                 [this](sim::Duration remaining) { preempt(remaining); });
     }
-    core_.run_preemptible(
-        sim::Duration::picos(static_cast<std::int64_t>(descriptor.remaining_ps)),
-        [this]() { on_complete(); });
+    start(descriptor, obs::SpanKind::kDispatch);
   }
 
-  void on_complete() {
-    timer_.cancel();
-    server_.sim_.trace(sim::TraceCategory::kWorker, [&] {
-      return std::pair{"worker" + std::to_string(id_),
-                       "complete " + std::to_string(current_->request_id)};
-    });
-    if (server_.sim_.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(server_.sim_, current_->request_id,
-                    obs::SpanKind::kService, lane);
-      obs::begin_span(server_.sim_, current_->request_id,
-                      obs::SpanKind::kResponse, lane);
+  void task_finished() override { timer_.cancel(); }
+
+  /// The client response already left; the dispatcher hears back in a
+  /// frame of its own (§3.4 step 5). A completion pays for that frame in a
+  /// second op; a preemption paid for it with the context save.
+  void report(const proto::RequestDescriptor& descriptor,
+              bool preempted) override {
+    if (preempted) {
+      send_note(true, descriptor);
+      start_next();
+      return;
     }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-
-    // Respond to the client directly, then notify the dispatcher (§3.4
-    // step 5); both are frames built and sent by this worker.
-    core_.run(server_.params_.response_build_cost, [this, descriptor]() {
-      net::DatagramAddress address;
-      address.src_mac = vf_.mac();
-      address.dst_mac = descriptor.client_mac;
-      address.src_ip = vf_.ip();
-      address.dst_ip = descriptor.client_ip;
-      address.src_port = kWorkerPort;
-      address.dst_port = descriptor.client_port;
-      auto& scratch = proto::serialization_scratch();
-      auto response = make_response(descriptor);
-      if (server_.config_.load_feedback) {
-        // Echo the worker's queue-sojourn sample client-ward (DESIGN §12)
-        // so the ToR layer can snoop per-server load off this response.
-        response.has_sojourn = true;
-        response.sojourn_ps =
-            static_cast<std::uint64_t>(current_sojourn_.to_picos());
-      }
-      response.serialize_into(scratch);
-      vf_.transmit(net::make_udp_datagram(address, scratch));
-      ++responses_sent_;
-
-      core_.run(server_.params_.packet_build_cost, [this, descriptor]() {
-        if (server_.reliable()) {
-          send_note(false, descriptor);
-        } else {
-          proto::CompletionMessage completion;
-          completion.request_id = descriptor.request_id;
-          completion.worker_id = static_cast<std::uint32_t>(id_);
-          if (sojourn_sampling()) {
-            completion.has_sojourn = true;
-            completion.sojourn_ps =
-                static_cast<std::uint64_t>(current_sojourn_.to_picos());
-          }
-          auto& completion_scratch = proto::serialization_scratch();
-          completion.serialize_into(completion_scratch);
-          vf_.transmit(
-              net::make_udp_datagram(dispatcher_address(), completion_scratch));
-        }
-        start_next();
-      });
-    });
-  }
-
-  void on_preempted(sim::Duration remaining) {
-    ++preemptions_;
-    server_.sim_.trace(sim::TraceCategory::kPreempt, [&] {
-      return std::pair{"worker" + std::to_string(id_),
-                       "preempt " + std::to_string(current_->request_id) +
-                           " remaining " + remaining.to_string()};
-    });
-    if (server_.sim_.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + id_);
-      obs::end_span(server_.sim_, current_->request_id,
-                    obs::SpanKind::kService, lane);
-      obs::begin_span(server_.sim_, current_->request_id,
-                      obs::SpanKind::kRequeue, lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    descriptor.remaining_ps =
-        static_cast<std::uint64_t>(remaining.to_picos());
-    descriptor.preempt_count =
-        static_cast<std::uint16_t>(descriptor.preempt_count + 1);
-
-    // Save the context to host DRAM, then ship the descriptor back to the
-    // dispatcher as a preemption notification.
-    const sim::Duration cost = server_.params_.context_save_cost +
-                               server_.params_.packet_build_cost;
-    core_.run(cost, [this, descriptor]() {
-      if (server_.reliable()) {
-        send_note(true, descriptor);
-      } else {
-        auto& scratch = proto::serialization_scratch();
-        descriptor.serialize_into(proto::MessageType::kPreemption, scratch);
-        vf_.transmit(net::make_udp_datagram(dispatcher_address(), scratch));
-      }
+    core().run(server_.params_.packet_build_cost, [this, descriptor]() {
+      send_note(false, descriptor);
       start_next();
     });
   }
 
-  /// Reliable mode: ship a sequenced completion/preemption note and keep
-  /// retransmitting it (capped exponential backoff) until the dispatcher
-  /// acks. A lost note would otherwise leak a dispatcher slot forever.
+  std::uint64_t spurious_interrupts() const override {
+    return timer_.spurious_count();
+  }
+
+  /// Ships a completion (with the sojourn sample under adaptive-K) or a
+  /// preemption (the descriptor with its remaining work) to the dispatcher.
+  /// Reliable mode sequences the note and keeps retransmitting it (capped
+  /// exponential backoff) until the dispatcher acks; a lost note would
+  /// otherwise leak a dispatcher slot forever.
   void send_note(bool preempted, const proto::RequestDescriptor& descriptor) {
+    if (!server_.reliable()) {
+      auto& scratch = proto::serialization_scratch();
+      if (preempted) {
+        descriptor.serialize_into(proto::MessageType::kPreemption, scratch);
+      } else {
+        proto::CompletionMessage completion;
+        completion.request_id = descriptor.request_id;
+        completion.worker_id = static_cast<std::uint32_t>(id_);
+        if (sojourn_sampling()) {
+          completion.has_sojourn = true;
+          completion.sojourn_ps = static_cast<std::uint64_t>(echo_.to_picos());
+        }
+        completion.serialize_into(scratch);
+      }
+      vf_.transmit(net::make_udp_datagram(dispatcher_address(), scratch));
+      return;
+    }
     proto::SequencedNote note;
     note.seq = next_note_seq_++;
     note.worker_id = static_cast<std::uint32_t>(id_);
@@ -303,8 +219,7 @@ class ShinjukuOffloadServer::Worker {
     note.descriptor = descriptor;
     if (sojourn_sampling()) {
       note.has_sojourn = true;
-      note.sojourn_ps =
-          static_cast<std::uint64_t>(current_sojourn_.to_picos());
+      note.sojourn_ps = static_cast<std::uint64_t>(echo_.to_picos());
     }
     PendingNote pending;
     pending.payload = note.serialize();
@@ -319,9 +234,9 @@ class ShinjukuOffloadServer::Worker {
     auto it = pending_notes_.find(seq);
     if (it == pending_notes_.end()) return;
     PendingNote& pending = it->second;
-    if (!core_.stalled()) {
+    if (!core().stalled()) {
       // A crashed/stalled worker is silent; it catches up after resume. The
-      // resend bypasses core_.run on purpose: the NIC DMA engine does the
+      // resend bypasses core().run on purpose: the NIC DMA engine does the
       // work, and routing it through the core would violate
       // run_preemptible's idle requirement.
       ++server_.ledger_.reliability_stats().note_retransmits;
@@ -346,28 +261,13 @@ class ShinjukuOffloadServer::Worker {
   bool sojourn_sampling() const { return server_.ledger_.adaptive_k(); }
 
   net::DatagramAddress dispatcher_address() const {
-    net::DatagramAddress address;
-    address.src_mac = vf_.mac();
-    address.dst_mac = server_.arm_disp_->mac();
-    address.src_ip = vf_.ip();
-    address.dst_ip = server_.arm_disp_->ip();
-    address.src_port = kWorkerPort;
-    address.dst_port = kDispatchPort;
-    return address;
+    return server_.worker_address(id_).reversed();
   }
 
   ShinjukuOffloadServer& server_;
   std::size_t id_;
   net::NicInterface& vf_;
-  hw::CpuCore core_;
   hw::ApicTimer timer_;
-  bool idle_ = true;
-  std::optional<proto::RequestDescriptor> current_;
-  /// Sojourn of the most recently popped frame (see start_next).
-  sim::Duration current_sojourn_;
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t responses_sent_ = 0;
-  hw::DdioStats ddio_;
 
   // --- reliable mode only --------------------------------------------------
   /// An unacked outgoing note, resent until the dispatcher confirms.
@@ -388,16 +288,23 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
                                              const ModelParams& params,
                                              Config config)
     : sim_(sim),
-      network_(network),
       params_(params),
       config_(config),
       arm_nic_(sim, arm_nic_config(params)),
+      arm_net_(&arm_nic_.add_interface(
+          "arm-net", net::MacAddress::from_index(kArmNetIndex),
+          net::Ipv4Address::from_index(kArmNetIndex))),
       networker_core_(sim, arm_core(params, "arm-networker")),
       d1_core_(sim, arm_core(params, "arm-d1-queue")),
       d3_core_(sim, arm_core(params, "arm-d3-poll")),
       intake_channel_(sim, params.cacheline_ipc_latency),
       note_channel_(sim, params.cacheline_ipc_latency),
       queue_(config.queue_policy, config.overload, config.tenant),
+      // Informed admission: the networker consults D1's measured queueing
+      // delay (EWMA) and the backlog before spending any dispatcher work,
+      // answering refusals straight from the NIC.
+      ingress_(sim, *arm_net_, config.udp_port, "networker", 0, queue_,
+               [this](std::uint64_t request_id) { queue_.cancel(request_id); }),
       ledger_(sim, queue_,
               {config.worker_count, config.outstanding_per_worker,
                config.reliability, config.overload, config.feedback_staleness,
@@ -420,9 +327,6 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
     throw std::invalid_argument(
         "ShinjukuOffloadServer: sender_cores must be in [1, 5]");
   }
-  arm_net_ = &arm_nic_.add_interface("arm-net",
-                                     net::MacAddress::from_index(kArmNetIndex),
-                                     net::Ipv4Address::from_index(kArmNetIndex));
   arm_disp_ = &arm_nic_.add_interface(
       "arm-disp", net::MacAddress::from_index(kArmDispIndex),
       net::Ipv4Address::from_index(kArmDispIndex));
@@ -436,16 +340,21 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
     const std::uint32_t index =
         kWorkerBaseIndex + static_cast<std::uint32_t>(i);
-    host_nic_.add_interface("vf" + std::to_string(i),
-                            net::MacAddress::from_index(index),
-                            net::Ipv4Address::from_index(index));
+    vfs_.push_back(&host_nic_.add_interface(
+        "vf" + std::to_string(i), net::MacAddress::from_index(index),
+        net::Ipv4Address::from_index(index)));
   }
   host_nic_.attach_to_switch(network, params_.stingray_port_latency,
                              params_.line_rate_gbps);
 
   networker_pump_ = std::make_unique<PacketPump>(
       networker_core_, arm_net_->ring(0), params_.networker_parse_cost,
-      [this](net::Packet packet) { networker_handle(std::move(packet)); });
+      [this](net::Packet packet) {
+        if (auto descriptor =
+                ingress_.accept(packet, intake_channel_.depth())) {
+          intake_channel_.send(std::move(*descriptor));
+        }
+      });
   d3_pump_ = std::make_unique<PacketPump>(
       d3_core_, arm_disp_->ring(0), params_.notification_parse_cost,
       [this](net::Packet packet) { d3_handle(std::move(packet)); });
@@ -464,12 +373,22 @@ ShinjukuOffloadServer::ShinjukuOffloadServer(sim::Simulator& sim,
   intake_channel_.set_on_message([this]() { d1_kick(); });
   note_channel_.set_on_message([this]() { d1_kick(); });
 
+  std::vector<hw::CpuCore*> cores;
+  cores.reserve(config_.worker_count);
   for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        *this, i,
-        *host_nic_.interface_by_mac(net::MacAddress::from_index(
-            kWorkerBaseIndex + static_cast<std::uint32_t>(i)))));
+    workers_.push_back(std::make_unique<Worker>(*this, i, *vfs_[i]));
+    cores.push_back(&workers_.back()->core());
   }
+  // Dispatcher→worker frames (assignments, note acks) leave on the ARM
+  // NIC's uplink; worker→dispatcher frames (acks, notes) come back through
+  // the switch port toward arm-disp. The host NIC's uplink stays clean — it
+  // also carries worker→client responses, which this fault must not eat.
+  surface_.emplace(network, arm_net_->mac(), std::move(cores),
+                   [this, &network](double probability, std::uint64_t seed) {
+                     arm_nic_.set_uplink_loss(probability, seed);
+                     network.set_port_loss(arm_disp_->mac(), probability,
+                                           probability > 0.0 ? seed + 1 : 0);
+                   });
 }
 
 ShinjukuOffloadServer::~ShinjukuOffloadServer() = default;
@@ -480,84 +399,6 @@ net::MacAddress ShinjukuOffloadServer::ingress_mac() const {
 
 net::Ipv4Address ShinjukuOffloadServer::ingress_ip() const {
   return arm_net_->ip();
-}
-
-void ShinjukuOffloadServer::networker_handle(net::Packet packet) {
-  const auto datagram = net::parse_udp_datagram(packet);
-  if (!datagram || datagram->udp.dst_port != config_.udp_port) {
-    ++malformed_;
-    return;
-  }
-  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
-    if (const auto cancel = proto::CancelMessage::parse(datagram->payload)) {
-      // The losing leg of a ToR-hedged pair (DESIGN §16): mark the id for a
-      // lazy drop at dispatch. A mark whose request was already dispatched
-      // (or never arrived here) is consumed-or-harmless — ids are unique
-      // per run.
-      queue_.cancel(cancel->request_id);
-    } else {
-      ++malformed_;
-    }
-    return;
-  }
-  const auto request = proto::RequestMessage::parse(datagram->payload);
-  if (!request) {
-    ++malformed_;
-    return;
-  }
-  ++requests_received_;
-  sim_.trace(sim::TraceCategory::kClient, [&] {
-    return std::pair{std::string("networker"),
-                     "request " + std::to_string(request->request_id) +
-                         " received"};
-  });
-  {
-    // Informed admission (DESIGN §11): the networker consults D1's measured
-    // queueing delay (EWMA) and the instantaneous backlog before spending
-    // any dispatcher work, answering refusals straight from the NIC. With
-    // tenants on (DESIGN §13) the request is judged by its own tenant's
-    // gate and backlog, so a saturating neighbour cannot close the door.
-    const CentralQueue::Verdict verdict =
-        queue_.admit(request->tenant, intake_channel_.depth());
-    if (!verdict.admitted) {
-      sim_.trace(sim::TraceCategory::kClient, [&] {
-        return std::pair{std::string("networker"),
-                         "reject " + std::to_string(request->request_id) +
-                             " depth " + std::to_string(verdict.depth)};
-      });
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = arm_net_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = arm_net_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(verdict.depth))
-          .serialize_into(scratch);
-      arm_net_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-  }
-  if (sim_.span_enabled()) {
-    // The ARM NIC stamped the frame's arrival; attribute wire vs RX/parse.
-    const sim::TimePoint rx = packet.rx_at();
-    obs::end_span_at(sim_, rx, request->request_id,
-                     obs::SpanKind::kClientWire);
-    obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx);
-    obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx);
-    obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue);
-  }
-  intake_channel_.send(make_descriptor(*request, *datagram));
 }
 
 void ShinjukuOffloadServer::d1_kick() {
@@ -644,16 +485,20 @@ void ShinjukuOffloadServer::send_assignment(Assignment assignment) {
   next_sender_ = (next_sender_ + 1) % senders_.size();
 }
 
-void ShinjukuOffloadServer::d2_send(Assignment assignment) {
-  const auto& vf = *host_nic_.interface_by_mac(net::MacAddress::from_index(
-      kWorkerBaseIndex + static_cast<std::uint32_t>(assignment.worker)));
+net::DatagramAddress ShinjukuOffloadServer::worker_address(
+    std::size_t worker) const {
   net::DatagramAddress address;
   address.src_mac = arm_disp_->mac();
-  address.dst_mac = vf.mac();
+  address.dst_mac = vfs_[worker]->mac();
   address.src_ip = arm_disp_->ip();
-  address.dst_ip = vf.ip();
+  address.dst_ip = vfs_[worker]->ip();
   address.src_port = kDispatchPort;
   address.dst_port = kWorkerPort;
+  return address;
+}
+
+void ShinjukuOffloadServer::d2_send(Assignment assignment) {
+  const net::DatagramAddress address = worker_address(assignment.worker);
   if (assignment.seq != 0) {
     proto::SequencedAssignment sequenced;
     sequenced.seq = assignment.seq;
@@ -676,19 +521,14 @@ void ShinjukuOffloadServer::d3_handle(net::Packet packet) {
     return;
   }
   // Identify the worker by the source MAC of its virtual function.
-  const net::NicInterface* vf = host_nic_.interface_by_mac(datagram->eth.src);
-  if (vf == nullptr) {
+  std::size_t worker_id = 0;
+  while (worker_id < vfs_.size() &&
+         vfs_[worker_id]->mac() != datagram->eth.src) {
+    ++worker_id;
+  }
+  if (worker_id == vfs_.size()) {
     ++malformed_;
     return;
-  }
-  std::size_t worker_id = 0;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    if (net::MacAddress::from_index(kWorkerBaseIndex +
-                                    static_cast<std::uint32_t>(i)) ==
-        datagram->eth.src) {
-      worker_id = i;
-      break;
-    }
   }
 
   const auto type = proto::peek_type(datagram->payload);
@@ -745,18 +585,9 @@ void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
   proto::AckMessage ack;
   ack.seq = note.seq;
   ack.worker_id = note.worker_id;
-  const auto& vf = *host_nic_.interface_by_mac(net::MacAddress::from_index(
-      kWorkerBaseIndex + static_cast<std::uint32_t>(worker)));
-  net::DatagramAddress address;
-  address.src_mac = arm_disp_->mac();
-  address.dst_mac = vf.mac();
-  address.src_ip = arm_disp_->ip();
-  address.dst_ip = vf.ip();
-  address.src_port = kDispatchPort;
-  address.dst_port = kWorkerPort;
   auto& scratch = proto::serialization_scratch();
   ack.serialize_into(proto::MessageType::kNoteAck, scratch);
-  arm_disp_->transmit(net::make_udp_datagram(address, scratch));
+  arm_disp_->transmit(net::make_udp_datagram(worker_address(worker), scratch));
 
   ledger_.note_alive(worker);
   if (!ledger_.first_note(worker, note.seq)) return;
@@ -769,65 +600,18 @@ void ShinjukuOffloadServer::handle_sequenced_note(std::size_t worker,
   note_channel_.send(std::move(out));
 }
 
-// ----------------------------------------------------- fault::FaultSurface
-
-void ShinjukuOffloadServer::inject_ingress_loss(double probability,
-                                                std::uint64_t seed) {
-  network_.set_port_loss(arm_net_->mac(), probability, seed);
-}
-
-void ShinjukuOffloadServer::inject_dispatch_loss(double probability,
-                                                 std::uint64_t seed) {
-  // Dispatcher→worker frames (assignments, note acks) leave on the ARM
-  // NIC's uplink; worker→dispatcher frames (acks, notes) come back through
-  // the switch port toward arm-disp. The host NIC's uplink stays clean —
-  // it also carries worker→client responses, which this fault must not eat.
-  arm_nic_.set_uplink_loss(probability, seed);
-  network_.set_port_loss(arm_disp_->mac(), probability,
-                         probability > 0.0 ? seed + 1 : 0);
-}
-
-void ShinjukuOffloadServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(arm_net_->mac(), factor);
-}
-
-void ShinjukuOffloadServer::inject_worker_stall(std::uint32_t worker,
-                                                sim::Duration duration) {
-  workers_[worker]->mutable_core().stall_for(duration);
-}
-
-void ShinjukuOffloadServer::inject_worker_crash(std::uint32_t worker) {
-  workers_[worker]->mutable_core().stall();
-}
-
-void ShinjukuOffloadServer::inject_worker_resume(std::uint32_t worker) {
-  workers_[worker]->mutable_core().resume();
-}
-
 ServerStats ShinjukuOffloadServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
-  stats.requests_received = requests_received_;
-  for (const auto& worker : workers_) {
-    stats.responses_sent += worker->responses_sent();
-    stats.preemptions += worker->preemptions();
-    stats.spurious_interrupts += worker->spurious();
-    stats.ddio.l1_touches += worker->ddio().l1_touches;
-    stats.ddio.llc_touches += worker->ddio().llc_touches;
-    stats.ddio.dram_touches += worker->ddio().dram_touches;
-    if (elapsed > sim::Duration::zero()) {
-      stats.worker_utilization.push_back(worker->core().stats().busy /
-                                         elapsed);
-    }
-  }
+  stats.requests_received = ingress_.requests_received();
+  for (const auto& worker : workers_) worker->add_to(stats, elapsed);
   stats.drops = arm_nic_.rx_unknown_mac_drops() +
-                host_nic_.rx_unknown_mac_drops() + malformed_;
+                host_nic_.rx_unknown_mac_drops() + ingress_.malformed() +
+                malformed_;
   stats.drops += arm_net_->ring(0).stats().dropped;
   stats.drops += arm_disp_->ring(0).stats().dropped;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    // Ring overflow on a worker VF would break the dispatcher's outstanding
-    // accounting; surfacing it in drops makes that visible.
-    const auto* vf = host_nic_.interface_by_mac(net::MacAddress::from_index(
-        kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
+  // Ring overflow on a worker VF would break the dispatcher's outstanding
+  // accounting; surfacing it in drops makes that visible.
+  for (const net::NicInterface* vf : vfs_) {
     stats.drops += vf->ring(0).stats().dropped;
   }
   queue_.add_to(stats);
@@ -841,20 +625,13 @@ ServerTelemetry ShinjukuOffloadServer::telemetry() const {
   // Every ring that can overflow feeds the live drop counter, mirroring
   // what stats() aggregates; a VF overflow silently corrupting the
   // outstanding accounting must be visible to the metric sampler.
-  t.drops = malformed_ + arm_net_->ring(0).stats().dropped +
+  t.drops = ingress_.malformed() + malformed_ +
+            arm_net_->ring(0).stats().dropped +
             arm_disp_->ring(0).stats().dropped;
-  for (std::size_t i = 0; i < config_.worker_count; ++i) {
-    const auto* vf = host_nic_.interface_by_mac(net::MacAddress::from_index(
-        kWorkerBaseIndex + static_cast<std::uint32_t>(i)));
-    t.drops += vf->ring(0).stats().dropped;
-  }
+  for (const net::NicInterface* vf : vfs_) t.drops += vf->ring(0).stats().dropped;
   queue_.add_to(t);
   ledger_.add_to(t);
-  t.worker_busy.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    t.preemptions += worker->preemptions();
-    t.worker_busy.push_back(worker->core().stats().busy);
-  }
+  for (const auto& worker : workers_) worker->add_to(t);
   return t;
 }
 

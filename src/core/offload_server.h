@@ -29,11 +29,12 @@
 #include "core/central_queue.h"
 #include "core/core_status.h"
 #include "core/dispatch_ledger.h"
-#include "fault/fault_surface.h"
+#include "core/ingress.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
 #include "core/task_queue.h"
+#include "fault/fault_surface.h"
 #include "hw/apic_timer.h"
 #include "hw/channel.h"
 #include "hw/cpu_core.h"
@@ -43,7 +44,7 @@
 
 namespace nicsched::core {
 
-class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
+class ShinjukuOffloadServer final : public Server {
  public:
   struct Config {
     std::size_t worker_count = 4;
@@ -112,18 +113,7 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   /// Dispatcher-believed worker status (for the feedback-staleness example).
   const CoreStatusTable& core_status() const { return ledger_.status(); }
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
+  fault::FaultSurface* fault_surface() override { return &*surface_; }
 
  private:
   class Worker;
@@ -143,19 +133,19 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
     std::uint64_t sojourn_ps = 0;
   };
 
-  void networker_handle(net::Packet packet);
   void d1_kick();
   void d1_step();
   void d2_send(Assignment assignment);
   void d3_handle(net::Packet packet);
   /// Hands an assignment to the next D2 sender core, round robin.
   void send_assignment(Assignment assignment);
+  /// Dispatcher → `worker` (the reverse is the worker's note path).
+  net::DatagramAddress worker_address(std::size_t worker) const;
 
   bool reliable() const { return config_.reliability.enabled; }
   void handle_sequenced_note(std::size_t worker, proto::SequencedNote note);
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
@@ -182,15 +172,16 @@ class ShinjukuOffloadServer final : public Server, public fault::FaultSurface {
   bool d1_pumping_ = false;
 
   CentralQueue queue_;
+  Ingress ingress_;
   DispatchLedger ledger_;
 
   // --- host side -----------------------------------------------------------
   net::Nic host_nic_;
+  std::vector<net::NicInterface*> vfs_;  // by worker
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::optional<fault::FaultSurface> surface_;
 
-  // --- counters ------------------------------------------------------------
-  std::uint64_t requests_received_ = 0;
-  std::uint64_t malformed_ = 0;
+  std::uint64_t malformed_ = 0;  // D3's unparseable notes
 };
 
 }  // namespace nicsched::core

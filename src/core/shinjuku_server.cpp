@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/host_worker.h"
 #include "obs/span.h"
 
 namespace nicsched::core {
@@ -32,13 +33,6 @@ hw::CpuCore::Config smt_core(const ModelParams& params, std::string name) {
   return config;
 }
 
-hw::CpuCore::Config worker_core(const ModelParams& params, std::string name) {
-  hw::CpuCore::Config config;
-  config.name = std::move(name);
-  config.frequency = params.host_frequency;
-  return config;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- Worker
@@ -46,24 +40,26 @@ hw::CpuCore::Config worker_core(const ModelParams& params, std::string name) {
 /// A Shinjuku worker: receives assignments over a cache-line channel,
 /// executes them, responds to the client through the shared NIC, and is
 /// preempted by dispatcher-sent posted interrupts.
-class ShinjukuServer::Worker {
+class ShinjukuServer::Worker final : public HostWorker {
  public:
   Worker(Group& group, std::size_t id)
-      : group_(group),
+      : HostWorker(group.server.sim_, group.server.params_,
+                   "worker" + std::to_string(group.index) + "." +
+                       std::to_string(id),
+                   {static_cast<std::uint32_t>(100 + group.index * 100 + id),
+                    group.server.pf_, kWorkerPort,
+                    group.server.config_.load_feedback,
+                    group.server.params_.cacheline_ipc_cost,
+                    group.server.params_.cacheline_ipc_cost}),
+        group_(group),
         id_(id),
-        core_(group.server.sim_,
-              worker_core(group.server.params_,
-                          "worker" + std::to_string(group.index) + "." +
-                              std::to_string(id))),
-        interrupt_line_(group.server.sim_, core_,
+        interrupt_line_(group.server.sim_, core(),
                         hw::InterruptLine::Config{
                             group.server.params_.interrupt_delivery_latency,
                             group.server.params_.timer_receive_cycles}),
         assign_channel_(group.server.sim_,
                         group.server.params_.dedicated_poll_latency) {
-    assign_channel_.set_on_message([this]() {
-      if (idle_) start_next();
-    });
+    assign_channel_.set_on_message([this]() { wake(); });
   }
 
   hw::MessageChannel<proto::RequestDescriptor>& assign_channel() {
@@ -78,42 +74,8 @@ class ShinjukuServer::Worker {
     pending_sojourns_.push_back(sojourn);
   }
 
-  const hw::CpuCore& core() const { return core_; }
-  hw::CpuCore& mutable_core() { return core_; }
-  std::uint64_t preemptions() const { return preemptions_; }
-  std::uint64_t responses_sent() const { return responses_sent_; }
-  std::uint64_t spurious() const { return interrupt_line_.spurious_count(); }
-  const hw::DdioStats& ddio() const { return ddio_; }
-
-  /// Called (via the interrupt line) when the dispatcher preempts us.
-  void on_preempted(sim::Duration remaining) {
-    ++preemptions_;
-    sim::Simulator& sim = group_.server.sim_;
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + group_.index * 100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kRequeue,
-                      lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    descriptor.remaining_ps =
-        static_cast<std::uint64_t>(remaining.to_picos());
-    descriptor.preempt_count =
-        static_cast<std::uint16_t>(descriptor.preempt_count + 1);
-
-    const ModelParams& params = group_.server.params_;
-    const sim::Duration cost =
-        params.context_save_cost + params.cacheline_ipc_cost;
-    core_.run(cost, [this, descriptor]() {
-      group_.note_channel.send(
-          Note{id_, true, descriptor, descriptor.request_id});
-      start_next();
-    });
-  }
-
  private:
-  void start_next() {
+  void start_next() override {
     auto descriptor = assign_channel_.pop();
     if (!descriptor) {
       idle_ = true;
@@ -121,10 +83,10 @@ class ShinjukuServer::Worker {
     }
     idle_ = false;
     if (!pending_sojourns_.empty()) {
-      current_sojourn_ = pending_sojourns_.front();
+      echo_ = pending_sojourns_.front();
       pending_sojourns_.pop_front();
     } else {
-      current_sojourn_ = sim::Duration::zero();
+      echo_ = sim::Duration::zero();
     }
     auto shared =
         std::make_shared<proto::RequestDescriptor>(std::move(*descriptor));
@@ -140,70 +102,29 @@ class ShinjukuServer::Worker {
     if (shared->preempt_count > 0) {
       prologue += params.context_restore_cost;
     }
-    core_.run(prologue, [this, shared]() {
-      current_ = *shared;
-      sim::Simulator& sim = group_.server.sim_;
-      if (sim.span_enabled()) {
-        const auto lane = static_cast<std::uint32_t>(100 + group_.index * 100 + id_);
-        obs::end_span(sim, shared->request_id, obs::SpanKind::kDispatch, lane);
-        obs::begin_span(sim, shared->request_id, obs::SpanKind::kService,
-                        lane);
-      }
-      core_.run_preemptible(
-          sim::Duration::picos(static_cast<std::int64_t>(shared->remaining_ps)),
-          [this]() { on_complete(); });
+    core().run(prologue, [this, shared]() {
+      start(*shared, obs::SpanKind::kDispatch);
     });
   }
 
-  void on_complete() {
-    sim::Simulator& sim = group_.server.sim_;
-    if (sim.span_enabled()) {
-      const auto lane = static_cast<std::uint32_t>(100 + group_.index * 100 + id_);
-      obs::end_span(sim, current_->request_id, obs::SpanKind::kService, lane);
-      obs::begin_span(sim, current_->request_id, obs::SpanKind::kResponse,
-                      lane);
-    }
-    proto::RequestDescriptor descriptor = *current_;
-    current_.reset();
-    const ModelParams& params = group_.server.params_;
-    const sim::Duration cost =
-        params.response_build_cost + params.cacheline_ipc_cost;
-    core_.run(cost, [this, descriptor]() {
-      net::NicInterface* pf = group_.server.pf_;
-      net::DatagramAddress address;
-      address.src_mac = pf->mac();
-      address.dst_mac = descriptor.client_mac;
-      address.src_ip = pf->ip();
-      address.dst_ip = descriptor.client_ip;
-      address.src_port = kWorkerPort;
-      address.dst_port = descriptor.client_port;
-      auto& scratch = proto::serialization_scratch();
-      auto response = make_response(descriptor);
-      if (group_.server.config_.load_feedback) {
-        response.has_sojourn = true;
-        response.sojourn_ps =
-            static_cast<std::uint64_t>(current_sojourn_.to_picos());
-      }
-      response.serialize_into(scratch);
-      pf->transmit(net::make_udp_datagram(address, scratch));
-      ++responses_sent_;
-      group_.note_channel.send(Note{id_, false, {}, descriptor.request_id});
-      start_next();
-    });
+  /// One completion flag or preempted descriptor in the worker's context
+  /// line, which the dispatcher polls.
+  void report(const proto::RequestDescriptor& descriptor,
+              bool preempted) override {
+    group_.note_channel.send(
+        Note{id_, preempted, descriptor, descriptor.request_id});
+    start_next();
+  }
+
+  std::uint64_t spurious_interrupts() const override {
+    return interrupt_line_.spurious_count();
   }
 
   Group& group_;
   std::size_t id_;
-  hw::CpuCore core_;
   hw::InterruptLine interrupt_line_;
   hw::MessageChannel<proto::RequestDescriptor> assign_channel_;
-  bool idle_ = true;
-  std::optional<proto::RequestDescriptor> current_;
   std::deque<sim::Duration> pending_sojourns_;
-  sim::Duration current_sojourn_;
-  std::uint64_t preemptions_ = 0;
-  std::uint64_t responses_sent_ = 0;
-  hw::DdioStats ddio_;
 };
 
 // -------------------------------------------------------------------- Group
@@ -223,6 +144,16 @@ ShinjukuServer::Group::Group(ShinjukuServer& server_ref, std::size_t index_arg)
       note_channel(server_ref.sim_, server_ref.params_.dedicated_poll_latency),
       queue(server_ref.config_.queue_policy, server_ref.config_.overload,
             server_ref.config_.tenant),
+      // The cancel's control 5-tuple need not hash to the group that queued
+      // the request, so mark every group's queue.
+      ingress(server_ref.sim_, *server_ref.pf_, server_ref.config_.udp_port,
+              "networker" + std::to_string(index_arg),
+              static_cast<std::uint32_t>(index_arg), queue,
+              [&server_ref](std::uint64_t request_id) {
+                for (auto& group : server_ref.groups_) {
+                  group->queue.cancel(request_id);
+                }
+              }),
       status(0, 1) {}
 
 // ------------------------------------------------------------- the server
@@ -231,7 +162,6 @@ ShinjukuServer::ShinjukuServer(sim::Simulator& sim,
                                net::EthernetSwitch& network,
                                const ModelParams& params, Config config)
     : sim_(sim),
-      network_(network),
       params_(params),
       config_(config),
       nic_(sim, nic_config(params)) {
@@ -271,14 +201,27 @@ ShinjukuServer::ShinjukuServer(sim::Simulator& sim,
     group.running.resize(group.workers.size());
     group.networker_pump = std::make_unique<PacketPump>(
         group.networker_core, pf_->ring(group.index),
-        params_.networker_parse_cost, [this, &group](net::Packet packet) {
-          networker_handle(group, std::move(packet));
+        params_.networker_parse_cost, [&group](net::Packet packet) {
+          if (auto descriptor = group.ingress.accept(
+                  packet, group.intake_channel.depth())) {
+            group.intake_channel.send(std::move(*descriptor));
+          }
         });
     group.intake_channel.set_on_message(
         [this, &group]() { dispatcher_kick(group); });
     group.note_channel.set_on_message(
         [this, &group]() { dispatcher_kick(group); });
   }
+
+  // Workers were pushed round-robin (w % groups) in global order, so fault
+  // index w is group w % G at in-group slot w / G.
+  std::vector<hw::CpuCore*> cores;
+  cores.reserve(config_.worker_count);
+  for (std::size_t w = 0; w < config_.worker_count; ++w) {
+    cores.push_back(
+        &groups_[w % groups_.size()]->workers[w / groups_.size()]->core());
+  }
+  surface_.emplace(network, pf_->mac(), std::move(cores));
 }
 
 ShinjukuServer::~ShinjukuServer() = default;
@@ -288,80 +231,11 @@ net::MacAddress ShinjukuServer::ingress_mac() const { return pf_->mac(); }
 net::Ipv4Address ShinjukuServer::ingress_ip() const { return pf_->ip(); }
 
 std::uint64_t ShinjukuServer::group_requests(std::size_t group) const {
-  return groups_[group]->requests_received;
+  return groups_[group]->ingress.requests_received();
 }
 
 const CoreStatusTable& ShinjukuServer::core_status(std::size_t group) const {
   return groups_[group]->status;
-}
-
-void ShinjukuServer::networker_handle(Group& group, net::Packet packet) {
-  const auto datagram = net::parse_udp_datagram(packet);
-  if (!datagram || datagram->udp.dst_port != config_.udp_port) {
-    ++group.malformed;
-    return;
-  }
-  if (proto::peek_type(datagram->payload) == proto::MessageType::kCancel) {
-    if (const auto cancel = proto::CancelMessage::parse(datagram->payload)) {
-      // The losing leg of a ToR-hedged pair (DESIGN §16). The cancel's
-      // control 5-tuple need not hash to the group that queued the request,
-      // so mark every group's queue; a mark that never matches is harmless
-      // (ids are unique per run).
-      for (auto& other : groups_) other->queue.cancel(cancel->request_id);
-    } else {
-      ++group.malformed;
-    }
-    return;
-  }
-  const auto request = proto::RequestMessage::parse(datagram->payload);
-  if (!request) {
-    ++group.malformed;
-    return;
-  }
-  ++group.requests_received;
-  {
-    // Informed admission (DESIGN §11), scoped to this group's queue; with
-    // tenants on (§13) the request is judged by its own tenant's gate.
-    const CentralQueue::Verdict verdict =
-        group.queue.admit(request->tenant, group.intake_channel.depth());
-    if (!verdict.admitted) {
-      if (sim_.span_enabled()) {
-        const sim::TimePoint rx = packet.rx_at();
-        const auto lane = static_cast<std::uint32_t>(group.index);
-        obs::end_span_at(sim_, rx, request->request_id,
-                         obs::SpanKind::kClientWire, lane);
-        obs::begin_span_at(sim_, rx, request->request_id,
-                           obs::SpanKind::kNicRx, lane);
-        obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, lane);
-        obs::begin_span(sim_, request->request_id, obs::SpanKind::kResponse,
-                        lane);
-      }
-      net::DatagramAddress reply;
-      reply.src_mac = pf_->mac();
-      reply.dst_mac = datagram->eth.src;
-      reply.src_ip = pf_->ip();
-      reply.dst_ip = datagram->ip.src;
-      reply.src_port = config_.udp_port;
-      reply.dst_port = datagram->udp.src_port;
-      auto& scratch = proto::serialization_scratch();
-      make_reject(*request, static_cast<std::uint32_t>(verdict.depth))
-          .serialize_into(scratch);
-      pf_->transmit(net::make_udp_datagram(reply, scratch));
-      return;
-    }
-  }
-  if (sim_.span_enabled()) {
-    const sim::TimePoint rx = packet.rx_at();
-    const auto lane = static_cast<std::uint32_t>(group.index);
-    obs::end_span_at(sim_, rx, request->request_id,
-                     obs::SpanKind::kClientWire, lane);
-    obs::begin_span_at(sim_, rx, request->request_id, obs::SpanKind::kNicRx,
-                       lane);
-    obs::end_span(sim_, request->request_id, obs::SpanKind::kNicRx, lane);
-    obs::begin_span(sim_, request->request_id, obs::SpanKind::kDispatchQueue,
-                    lane);
-  }
-  group.intake_channel.send(make_descriptor(*request, *datagram));
 }
 
 void ShinjukuServer::dispatcher_kick(Group& group) {
@@ -511,7 +385,7 @@ void ShinjukuServer::issue_preempt(Group& group, std::size_t worker) {
       [&group, worker]() {
         group.workers[worker]->interrupt_line().send(
             [&group, worker](sim::Duration remaining) {
-              group.workers[worker]->on_preempted(remaining);
+              group.workers[worker]->preempt(remaining);
             });
       });
 }
@@ -546,56 +420,13 @@ void ShinjukuServer::declare_worker_dead(Group& group, std::size_t worker) {
   dispatcher_kick(group);
 }
 
-hw::CpuCore& ShinjukuServer::worker_core_at(std::uint32_t worker) {
-  // Workers were pushed round-robin (w % groups) in global order, so the
-  // global index maps to group w % G at in-group slot w / G.
-  Group& group = *groups_[worker % groups_.size()];
-  return group.workers[worker / groups_.size()]->mutable_core();
-}
-
-void ShinjukuServer::inject_ingress_loss(double probability,
-                                         std::uint64_t seed) {
-  network_.set_port_loss(pf_->mac(), probability, seed);
-}
-
-void ShinjukuServer::inject_dispatch_loss(double /*probability*/,
-                                          std::uint64_t /*seed*/) {}
-
-void ShinjukuServer::inject_ingress_degrade(double factor) {
-  network_.set_port_degrade(pf_->mac(), factor);
-}
-
-void ShinjukuServer::inject_worker_stall(std::uint32_t worker,
-                                         sim::Duration duration) {
-  worker_core_at(worker).stall_for(duration);
-}
-
-void ShinjukuServer::inject_worker_crash(std::uint32_t worker) {
-  worker_core_at(worker).stall();
-}
-
-void ShinjukuServer::inject_worker_resume(std::uint32_t worker) {
-  worker_core_at(worker).resume();
-}
-
 ServerStats ShinjukuServer::stats(sim::Duration elapsed) const {
   ServerStats stats;
   for (const auto& group : groups_) {
-    stats.requests_received += group->requests_received;
-    stats.drops += group->malformed;
+    stats.requests_received += group->ingress.requests_received();
+    stats.drops += group->ingress.malformed();
     group->queue.add_to(stats);
-    for (const auto& worker : group->workers) {
-      stats.responses_sent += worker->responses_sent();
-      stats.preemptions += worker->preemptions();
-      stats.spurious_interrupts += worker->spurious();
-      stats.ddio.l1_touches += worker->ddio().l1_touches;
-      stats.ddio.llc_touches += worker->ddio().llc_touches;
-      stats.ddio.dram_touches += worker->ddio().dram_touches;
-      if (elapsed > sim::Duration::zero()) {
-        stats.worker_utilization.push_back(worker->core().stats().busy /
-                                           elapsed);
-      }
-    }
+    for (const auto& worker : group->workers) worker->add_to(stats, elapsed);
   }
   stats.drops += nic_.rx_unknown_mac_drops();
   for (std::size_t ring = 0; ring < pf_->ring_count(); ++ring) {
@@ -611,11 +442,8 @@ ServerTelemetry ShinjukuServer::telemetry() const {
     t.queue_depth += group->intake_channel.depth();
     group->queue.add_to(t);
     t.outstanding += group->status.total_outstanding();
-    t.drops += group->malformed;
-    for (const auto& worker : group->workers) {
-      t.preemptions += worker->preemptions();
-      t.worker_busy.push_back(worker->core().stats().busy);
-    }
+    t.drops += group->ingress.malformed();
+    for (const auto& worker : group->workers) worker->add_to(t);
   }
   t.drops += nic_.rx_unknown_mac_drops();
   for (std::size_t ring = 0; ring < pf_->ring_count(); ++ring) {

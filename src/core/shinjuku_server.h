@@ -25,6 +25,7 @@
 
 #include "core/central_queue.h"
 #include "core/core_status.h"
+#include "core/ingress.h"
 #include "core/model_params.h"
 #include "core/packet_pump.h"
 #include "core/server.h"
@@ -39,7 +40,7 @@
 
 namespace nicsched::core {
 
-class ShinjukuServer final : public Server, public fault::FaultSurface {
+class ShinjukuServer final : public Server {
  public:
   struct Config {
     std::size_t worker_count = 3;
@@ -82,19 +83,9 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
   ServerStats stats(sim::Duration elapsed) const override;
   ServerTelemetry telemetry() const override;
 
-  // --- fault::FaultSurface -------------------------------------------------
-  fault::FaultSurface* fault_surface() override { return this; }
-  std::uint32_t fault_worker_count() const override {
-    return static_cast<std::uint32_t>(config_.worker_count);
-  }
-  void inject_ingress_loss(double probability, std::uint64_t seed) override;
-  /// No-op: dispatcher↔worker traffic here is lossless cache-line IPC.
-  void inject_dispatch_loss(double probability, std::uint64_t seed) override;
-  void inject_ingress_degrade(double factor) override;
-  void inject_worker_stall(std::uint32_t worker,
-                           sim::Duration duration) override;
-  void inject_worker_crash(std::uint32_t worker) override;
-  void inject_worker_resume(std::uint32_t worker) override;
+  /// No dispatch-loss hook: dispatcher↔worker traffic here is lossless
+  /// cache-line IPC.
+  fault::FaultSurface* fault_surface() override { return &*surface_; }
 
   std::size_t group_count() const { return groups_.size(); }
   /// Requests a group's networker has accepted; exposes RSS imbalance
@@ -143,15 +134,12 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
     /// its own backlog, so an overloaded RSS bucket rejects while others
     /// accept.
     CentralQueue queue;
+    Ingress ingress;
     CoreStatusTable status;
     std::vector<RunningInfo> running;
     std::vector<std::unique_ptr<Worker>> workers;
-
-    std::uint64_t requests_received = 0;
-    std::uint64_t malformed = 0;
   };
 
-  void networker_handle(Group& group, net::Packet packet);
   void dispatcher_kick(Group& group);
   void dispatcher_step(Group& group);
 
@@ -163,16 +151,15 @@ class ShinjukuServer final : public Server, public fault::FaultSurface {
   bool reliable() const { return config_.reliability.enabled; }
   void arm_liveness(Group& group, std::size_t worker, std::uint64_t epoch);
   void declare_worker_dead(Group& group, std::size_t worker);
-  hw::CpuCore& worker_core_at(std::uint32_t worker);
 
   sim::Simulator& sim_;
-  net::EthernetSwitch& network_;
   ModelParams params_;
   Config config_;
 
   net::Nic nic_;
   net::NicInterface* pf_ = nullptr;
   std::vector<std::unique_ptr<Group>> groups_;
+  std::optional<fault::FaultSurface> surface_;
   ReliabilityStats rel_;
 };
 

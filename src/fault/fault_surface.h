@@ -1,49 +1,85 @@
-// FaultSurface: the interface a server exposes so a FaultInjector can reach
-// its loss hooks and worker cores without knowing the server's topology.
+// FaultSurface: what a FaultInjector reaches in a server, without knowing
+// the server's topology.
 //
-// Each server kind maps the abstract injection points onto its own fabric:
-// "ingress loss" is loss on the switch port carrying client requests toward
-// the server's receive MAC, "dispatch loss" is loss on the internal
-// dispatcher↔worker path (a no-op for servers whose dispatch runs over
-// lossless in-memory channels), and the worker hooks land on hw::CpuCore's
-// stall machinery. Injection is always expressed against the server's own
-// components so that the conservation accounting (DESIGN §9) sees every
-// injected drop in a counter it already reads.
+// Every host family exposes the same four things: the switch its ingress
+// port hangs off, that port's MAC, its worker cores in fault-index order,
+// and — only where dispatch crosses a lossy fabric — a dispatch-loss hook.
+// "Ingress loss" and "ingress degrade" land on the switch port carrying
+// client requests; the worker hooks land on hw::CpuCore's stall machinery.
+// Injection is always expressed against the server's own components, so
+// the conservation accounting (DESIGN §9) sees every injected drop in a
+// counter it already reads.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
 
+#include "hw/cpu_core.h"
+#include "net/ethernet_switch.h"
+#include "net/mac_address.h"
 #include "sim/time.h"
 
 namespace nicsched::fault {
 
 class FaultSurface {
  public:
-  virtual ~FaultSurface() = default;
+  /// Frame loss on the dispatcher↔worker path (both directions);
+  /// probability <= 0 clears.
+  using DispatchLossHook =
+      std::function<void(double probability, std::uint64_t seed)>;
+
+  /// Without `dispatch_loss`, dispatch-loss injections are no-ops.
+  FaultSurface(net::EthernetSwitch& network, net::MacAddress ingress,
+               std::vector<hw::CpuCore*> workers,
+               DispatchLossHook dispatch_loss = nullptr)
+      : network_(network),
+        ingress_(ingress),
+        workers_(std::move(workers)),
+        dispatch_loss_(std::move(dispatch_loss)) {}
+  // Injector events hold the surface's address.
+  FaultSurface(const FaultSurface&) = delete;
+  FaultSurface& operator=(const FaultSurface&) = delete;
 
   /// Number of worker cores addressable by the worker hooks; worker indices
   /// in a FaultSchedule are taken modulo this.
-  virtual std::uint32_t fault_worker_count() const = 0;
+  std::uint32_t fault_worker_count() const {
+    return static_cast<std::uint32_t>(workers_.size());
+  }
 
   /// Frame loss on the client→server ingress path. probability <= 0 clears.
-  virtual void inject_ingress_loss(double probability, std::uint64_t seed) = 0;
+  void inject_ingress_loss(double probability, std::uint64_t seed) {
+    network_.set_port_loss(ingress_, probability, seed);
+  }
 
-  /// Frame loss on the dispatcher↔worker path (both directions). No-op for
-  /// servers whose dispatch does not cross a lossy fabric.
-  virtual void inject_dispatch_loss(double probability, std::uint64_t seed) = 0;
+  void inject_dispatch_loss(double probability, std::uint64_t seed) {
+    if (dispatch_loss_) dispatch_loss_(probability, seed);
+  }
 
   /// Slow the ingress path's serialization by `factor`; <= 1 restores.
-  virtual void inject_ingress_degrade(double factor) = 0;
+  void inject_ingress_degrade(double factor) {
+    network_.set_port_degrade(ingress_, factor);
+  }
 
   /// Timed worker stall (auto-resumes after `duration`).
-  virtual void inject_worker_stall(std::uint32_t worker,
-                                   sim::Duration duration) = 0;
+  void inject_worker_stall(std::uint32_t worker, sim::Duration duration) {
+    workers_[worker]->stall_for(duration);
+  }
 
   /// Open-ended worker crash; only inject_worker_resume revives the core.
-  virtual void inject_worker_crash(std::uint32_t worker) = 0;
+  void inject_worker_crash(std::uint32_t worker) { workers_[worker]->stall(); }
 
   /// Ends any stall or crash on `worker`.
-  virtual void inject_worker_resume(std::uint32_t worker) = 0;
+  void inject_worker_resume(std::uint32_t worker) {
+    workers_[worker]->resume();
+  }
+
+ private:
+  net::EthernetSwitch& network_;
+  net::MacAddress ingress_;
+  std::vector<hw::CpuCore*> workers_;
+  DispatchLossHook dispatch_loss_;
 };
 
 /// ClusterFaultSurface: the rack-scale counterpart (DESIGN §16). A cluster

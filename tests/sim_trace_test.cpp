@@ -1,7 +1,8 @@
-// Tracer mechanics and end-to-end trace content from the offload system.
+// Tracer mechanics and end-to-end trace content from every host family.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/testbed.h"
@@ -110,6 +111,71 @@ TEST(TracerEndToEnd, OffloadRequestLifecycleIsVisible) {
   EXPECT_EQ(requeued, 2);
   EXPECT_EQ(assigned, 3);
   EXPECT_EQ(started, 3);
+}
+
+// Every host family's workers trace the same lifecycle: one `start` line per
+// service burst, one `preempt` line per preemption, one `complete` line per
+// response. Two 25 us requests on one worker with a 10 us slice make every
+// preemptive family preempt; run-to-completion serves them back to back.
+TEST(TracerEndToEnd, EveryFamilyTracesItsWorkerLifecycle) {
+  for (const core::SystemKind kind :
+       {core::SystemKind::kShinjuku, core::SystemKind::kShinjukuOffload,
+        core::SystemKind::kRss, core::SystemKind::kIdealNic,
+        core::SystemKind::kRain}) {
+    SCOPED_TRACE(core::to_string(kind));
+    sim::Simulator sim;
+    sim::TraceCollector collector;
+    sim.tracer().set_sink(collector.sink());
+
+    const core::ModelParams params = core::ModelParams::defaults();
+    const auto experiment = core::ExperimentConfig::of(kind)
+                                .workers(1)
+                                .outstanding(1)
+                                .slice(sim::Duration::micros(10));
+    core::ClusterBuilder topology(sim);
+    topology.switch_latency(params.switch_forward_latency);
+    topology.add_host(core::HostSpec::from_config(experiment));
+    core::Cluster cluster = topology.build();
+    core::Server& server = cluster.server();
+
+    std::vector<std::unique_ptr<workload::ClientMachine>> clients;
+    for (std::uint32_t id = 1; id <= 2; ++id) {
+      workload::ClientMachine::Config client_config;
+      client_config.client_id = id;
+      client_config.mac = net::MacAddress::from_index(id);
+      client_config.ip = net::Ipv4Address::from_index(id);
+      client_config.server_mac = server.ingress_mac();
+      client_config.server_ip = server.ingress_ip();
+      client_config.server_port = server.port();
+      clients.push_back(std::make_unique<workload::ClientMachine>(
+          sim, cluster.client_network(), client_config,
+          std::make_shared<workload::FixedDistribution>(
+              sim::Duration::micros(25)),
+          std::make_unique<workload::UniformArrivals>(1.0), sim::Rng(id)));
+      clients.back()->start(sim::TimePoint::origin() +
+                            sim::Duration::seconds(1));
+    }
+    const sim::TimePoint end = sim::TimePoint::origin() +
+                               sim::Duration::seconds(1) +
+                               sim::Duration::millis(1);
+    sim.run_until(end);
+
+    ASSERT_EQ(clients[0]->received() + clients[1]->received(), 2u);
+    std::uint64_t started = 0, preempted = 0, completed = 0;
+    for (const auto& record : collector.records()) {
+      if (record.category == sim::TraceCategory::kPreempt &&
+          record.message.rfind("preempt", 0) == 0) {
+        ++preempted;
+      }
+      if (record.category != sim::TraceCategory::kWorker) continue;
+      if (record.message.rfind("start", 0) == 0) ++started;
+      if (record.message.rfind("complete", 0) == 0) ++completed;
+    }
+    EXPECT_EQ(completed, 2u);
+    EXPECT_EQ(started, preempted + 2);
+    EXPECT_EQ(preempted,
+              server.stats(end - sim::TimePoint::origin()).preemptions);
+  }
 }
 
 }  // namespace
