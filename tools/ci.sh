@@ -2,7 +2,8 @@
 # The repo's one-command CI gate, in eight tiers:
 #
 #   1. tier-1: configure with warnings as errors, build, full ctest — the
-#      bar every change must hold
+#      bar every change must hold — then print src/'s line count, the
+#      number the ROADMAP tracks (informational, gates nothing)
 #   2. fault smoke: one-seed conservation invariant under NICSCHED_FAST=1
 #   3. rack smoke: ToR dispatch tests + the rack_sweep shape checks, same tier
 #   4. tenant smoke: tenant dispatch/shim/conservation tests + the
@@ -28,6 +29,7 @@ echo "==> tier-1: configure (-Werror) + build + full test suite"
 cmake -B "$BUILD_DIR" -S . -DNICSCHED_WERROR=ON
 cmake --build "$BUILD_DIR" -j
 (cd "$BUILD_DIR" && ctest --output-on-failure -j)
+echo "src/ lines (.h + .cpp): $(find src -name '*.h' -o -name '*.cpp' | xargs cat | wc -l)"
 
 echo "==> fault smoke (NICSCHED_FAST=1, ctest -L fault)"
 (cd "$BUILD_DIR" && NICSCHED_FAST=1 ctest -L fault --output-on-failure)
